@@ -3,19 +3,26 @@
 The paper's argument is that a component assembly is a *checkable
 artifact*: ports are typed, wiring is declared in an rc-script, and the
 framework refuses bad compositions before the simulation runs.  This
-package is that pre-flight check for our reproduction, three passes
-sharing one findings model (:mod:`repro.analysis.findings`):
+package is that pre-flight check for our reproduction: six passes
+sharing one findings model (:mod:`repro.analysis.findings`), and every
+pass that reads component source reads it through one parsed model
+(:mod:`repro.analysis.source`):
 
-* :mod:`repro.analysis.wiring` — rc-scripts and built frameworks,
-  validated without executing ``go``.
-* :mod:`repro.analysis.lifecycle` — AST lint of component source for
-  port registration/fetch/release discipline.
-* :mod:`repro.analysis.scmd_safety` — AST lint for state that aliases
-  across SCMD rank-threads.
-* :mod:`repro.analysis.manifest` / :mod:`repro.analysis.contracts` —
-  declarative per-component manifests (RA40x drift pass keeps them
-  honest against the source; RA41x validates assemblies and serve
-  jobs against them).
+* :mod:`repro.analysis.wiring` (RA0xx) — rc-scripts and built
+  frameworks, validated without executing ``go``; fetch guards come
+  from the model.
+* :mod:`repro.analysis.lifecycle` (RA1xx) — port registration, fetch
+  and release discipline, from the model's port traffic.
+* :mod:`repro.analysis.scmd_safety` (RA2xx) — state that aliases across
+  SCMD rank-threads, from the model's mutable bindings and shared
+  writes.
+* :mod:`repro.analysis.races` (RA3xx) — ordering of shared writes in
+  rank code, from the same shared writes; its rc-script checks read the
+  :class:`~repro.analysis.contracts.AssemblyModel`.
+* :mod:`repro.analysis.manifest` (RA40x) — declarative per-component
+  manifests kept honest against the model's parameter reads.
+* :mod:`repro.analysis.contracts` (RA41x) — assemblies and serve jobs
+  validated against the committed manifests (never the source).
 
 CLI::
 
@@ -35,7 +42,7 @@ import os
 from typing import Sequence, Type
 
 from repro.analysis import (contracts, lifecycle, manifest, races,
-                            scmd_safety, wiring)
+                            scmd_safety, source, wiring)
 from repro.analysis.findings import (
     CODES,
     Finding,
@@ -64,6 +71,7 @@ __all__ = [
     "manifest",
     "races",
     "scmd_safety",
+    "source",
     "wiring",
 ]
 
@@ -73,13 +81,17 @@ def analyze_python_file(path: str,
                         check_races: bool = False,
                         ) -> list[Finding]:
     """Lifecycle + SCMD passes (and optionally the RA3xx race pass)
-    over one Python source file."""
+    over one Python source file, parsed once."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    out = (lifecycle.analyze_source(text, path)
-           + scmd_safety.analyze_source(text, path, allowlist))
+    try:
+        model = source.parse_module(text, path)
+    except SyntaxError as exc:
+        return [source.syntax_finding(exc, path)]
+    out = (lifecycle.analyze_model(model)
+           + scmd_safety.analyze_model(model, allowlist))
     if check_races:
-        out += races.analyze_source_races(text, path, allowlist)
+        out += races.analyze_model_races(model, allowlist)
     return out
 
 

@@ -52,14 +52,16 @@ class AssemblyModel:
     path: str = "<assembly>"
     #: instance -> class name (first instantiate wins, as in RA003)
     instances: dict[str, str] = field(default_factory=dict)
-    #: (instance, key, parsed value, line or None)
-    parameters: list[tuple[str, str, Any, int | None]] = \
+    #: (instance, key, parsed value, line or None, value as written)
+    parameters: list[tuple[str, str, Any, int | None, str]] = \
         field(default_factory=list)
     #: (user, uses_port, provider, provides_port, line or None)
     connections: list[tuple[str, str, str, str, int | None]] = \
         field(default_factory=list)
     #: go targets; empty = library assembly, RA417 is skipped
     go_targets: list[str] = field(default_factory=list)
+    #: line of the first ``go`` directive (None: no go, or no script)
+    first_go: int | None = None
     #: instances to treat as go-reachable even without a go directive
     #: (built frameworks carry no schedule, so everything counts)
     assume_reachable: bool = False
@@ -96,12 +98,14 @@ def model_from_script(text: str, path: str = "<script>") -> AssemblyModel:
         elif d.verb == "parameter":
             model.parameters.append(
                 (d.args[0], d.args[1], _parse_value(list(d.args[2:])),
-                 d.line_no))
+                 d.line_no, " ".join(d.args[2:])))
         elif d.verb == "connect":
             model.connections.append(
                 (d.args[0], d.args[1], d.args[2], d.args[3], d.line_no))
         elif d.verb == "go":
             model.go_targets.append(d.args[0])
+            if model.first_go is None:
+                model.first_go = d.line_no
     return model
 
 
@@ -116,7 +120,7 @@ def model_from_framework(fw, path: str = "<assembly>") -> AssemblyModel:
     for name in fw.instance_names():
         model.instances[name] = type(fw.get_component(name)).__name__
         for key, value in sorted(fw.services_of(name).parameters.items()):
-            model.parameters.append((name, key, value, None))
+            model.parameters.append((name, key, value, None, str(value)))
     for (user, uport), (provider, pport) in sorted(fw.connections().items()):
         model.connections.append((user, uport, provider, pport, None))
     return model
@@ -220,7 +224,7 @@ def check_model(model: AssemblyModel,
                 (instance, cls))
 
     set_keys: dict[str, set[str]] = {i: set() for i in model.instances}
-    for instance, key, value, line in model.parameters:
+    for instance, key, value, line, _raw in model.parameters:
         set_keys.setdefault(instance, set()).add(key)
         m = manifest_of(instance)
         if m is None:

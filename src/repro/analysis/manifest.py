@@ -16,7 +16,7 @@ serialized as JSON under ``src/repro/manifests/``, declaring
   are deliberately SCMD-shared (the ``# scmd: shared`` pragma).
 
 Manifests are *generated* from the source by :func:`extract_manifest`
-(sandbox port harvest + an AST scan of the parameter reads), then
+(sandbox port harvest + the source model's parameter reads), then
 hand-annotated with ranges and choices; :func:`emit_manifest` merges a
 re-extraction into an existing file without losing those annotations.
 The RA40x **drift pass** (:func:`check_drift`) keeps the committed
@@ -38,7 +38,6 @@ level so :meth:`repro.cca.framework.Framework.set_parameter` can borrow
 
 from __future__ import annotations
 
-import ast
 import inspect
 import json
 import os
@@ -46,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.analysis.findings import Finding, finding
-from repro.analysis.scmd_safety import _PRAGMA_RE, shared_bindings
+from repro.analysis.source import model_of
 
 #: JSON schema version of a manifest document.
 MANIFEST_SCHEMA = 1
@@ -260,247 +259,22 @@ def coerce_value(ptype: str, value: Any) -> Any:
 
 
 # --------------------------------------------------------------------------
-# source facts: the AST scan behind extraction and drift
-# --------------------------------------------------------------------------
-@dataclass
-class ParamRead:
-    """One statically visible parameter read in a class."""
-
-    name: str
-    type: str = "any"
-    default: Any = None
-    has_default: bool = False
-    line: int = 0
-
-
-@dataclass
-class ClassFacts:
-    """What the AST scan learned about one class's parameter traffic."""
-
-    name: str
-    line: int = 0
-    has_set_services: bool = False
-    params: dict[str, ParamRead] = field(default_factory=dict)
-    #: a read under a computed key was seen (f-strings, variables)
-    dynamic_reads: bool = False
-    #: mutable class attributes carrying the ``# scmd: shared`` pragma
-    scmd_shared: list[str] = field(default_factory=list)
-    #: names of same-module classes instantiated inside this class body
-    helper_calls: set[str] = field(default_factory=set)
-
-
-#: Options/Services accessor -> declared-type implied by the accessor.
-_ACCESSOR_TYPES = {
-    "get_float": "float", "get_int": "int", "get_bool": "bool",
-    "get_str": "str", "get_parameter": "any", "get": "any",
-    "require": "any",
-}
-
-#: builtins whose wrapping call pins the read's type.
-_CAST_TYPES = {"float": "float", "int": "int", "str": "str", "bool": "bool"}
-
-
-def _receiver_is_parameters(node: ast.expr,
-                            param_names: set[str]) -> bool:
-    """Is the accessor receiver a parameters bag (``...parameters`` or a
-    local name bound from one)?"""
-    if isinstance(node, ast.Attribute):
-        return node.attr == "parameters"
-    if isinstance(node, ast.Name):
-        return node.id in param_names
-    return False
-
-
-def _literal_type(value: Any) -> str:
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, int):
-        return "int"
-    if isinstance(value, float):
-        return "float"
-    if isinstance(value, str):
-        return "str"
-    return "any"
-
-
-def _call_arg(call: ast.Call, pos: int, kw: str) -> ast.expr | None:
-    if len(call.args) > pos:
-        return call.args[pos]
-    for k in call.keywords:
-        if k.arg == kw:
-            return k.value
-    return None
-
-
-class _ParamScanner:
-    """Collects parameter reads for one class body."""
-
-    def __init__(self, facts: ClassFacts, class_names: set[str],
-                 cast_of: dict[int, str]) -> None:
-        self.facts = facts
-        self.class_names = class_names
-        self.cast_of = cast_of
-
-    def walk_class(self, node: ast.ClassDef) -> None:
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if stmt.name == "set_services":
-                    self.facts.has_set_services = True
-                self._walk_function(stmt)
-
-    def _walk_function(self, fn: ast.AST) -> None:
-        # names locally bound from a ``...parameters`` expression
-        param_names: set[str] = set()
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and \
-                    isinstance(node.value, ast.Attribute) and \
-                    node.value.attr == "parameters":
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        param_names.add(target.id)
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call):
-                self._record_call(node, param_names)
-
-    def _record_call(self, call: ast.Call, param_names: set[str]) -> None:
-        func = call.func
-        if isinstance(func, ast.Name) and func.id in self.class_names:
-            self.facts.helper_calls.add(func.id)
-            return
-        if not isinstance(func, ast.Attribute):
-            return
-        accessor = func.attr
-        if accessor not in _ACCESSOR_TYPES:
-            return
-        if accessor in ("get", "require") and \
-                not _receiver_is_parameters(func.value, param_names):
-            return  # a dict/other .get, not a parameters bag
-        key_node = _call_arg(call, 0, "key")
-        if not (isinstance(key_node, ast.Constant)
-                and isinstance(key_node.value, str)):
-            self.facts.dynamic_reads = True
-            return
-        name = key_node.value
-        ptype = _ACCESSOR_TYPES[accessor]
-        if ptype == "any":
-            ptype = self.cast_of.get(id(call), "any")
-        default: Any = None
-        has_default = False
-        default_node = _call_arg(call, 1, "default")
-        if isinstance(default_node, ast.Constant) and \
-                default_node.value is not None:
-            default = default_node.value
-            has_default = True
-            if ptype == "any":
-                ptype = _literal_type(default)
-        read = ParamRead(name=name, type=ptype, default=default,
-                         has_default=has_default, line=call.lineno)
-        prior = self.facts.params.get(name)
-        if prior is None:
-            self.facts.params[name] = read
-        else:
-            # merge: keep the most specific type, first literal default
-            if prior.type == "any" and read.type != "any":
-                prior.type = read.type
-            if not prior.has_default and read.has_default:
-                prior.default, prior.has_default = read.default, True
-
-
-def scan_module_params(text: str,
-                       path: str = "<source>") -> dict[str, ClassFacts]:
-    """Per-class parameter facts for one module's source.
-
-    Helper-class reads (the port implementations that close over
-    ``owner.services``) are attributed to the component class that
-    instantiates them; a helper no component instantiates falls back to
-    every component class in the file.
-    """
-    tree = ast.parse(text, filename=path)
-    lines = text.splitlines()
-    # pre-pass: casts wrapping a call — float(services.get_parameter(...))
-    cast_of: dict[int, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in _CAST_TYPES and len(node.args) == 1 \
-                and isinstance(node.args[0], ast.Call):
-            cast_of[id(node.args[0])] = _CAST_TYPES[node.func.id]
-
-    class_defs = {node.name: node for node in ast.walk(tree)
-                  if isinstance(node, ast.ClassDef)}
-    _mods, class_mutables = shared_bindings(tree)
-    facts: dict[str, ClassFacts] = {}
-    for name, node in class_defs.items():
-        f = ClassFacts(name=name, line=node.lineno)
-        _ParamScanner(f, set(class_defs), cast_of).walk_class(node)
-        for attr, lineno in class_mutables.get(name, {}).items():
-            span = range(lineno, lineno + 1)
-            if any(1 <= ln <= len(lines)
-                   and _PRAGMA_RE.search(lines[ln - 1]) for ln in span):
-                f.scmd_shared.append(attr)
-        facts[name] = f
-
-    components = [f for f in facts.values() if f.has_set_services]
-    owners: dict[str, list[ClassFacts]] = {}
-    for comp in components:
-        for helper in comp.helper_calls:
-            owners.setdefault(helper, []).append(comp)
-    for helper_name, helper in facts.items():
-        if helper.has_set_services:
-            continue
-        targets = owners.get(helper_name)
-        if targets is None:
-            targets = components  # unmapped helper: conservative union
-        for comp in targets:
-            for name, read in helper.params.items():
-                prior = comp.params.get(name)
-                if prior is None:
-                    comp.params[name] = ParamRead(**vars(read))
-                else:
-                    if prior.type == "any" and read.type != "any":
-                        prior.type = read.type
-                    if not prior.has_default and read.has_default:
-                        prior.default = read.default
-                        prior.has_default = True
-            comp.dynamic_reads = comp.dynamic_reads or helper.dynamic_reads
-    return facts
-
-
-_MODULE_FACTS_CACHE: dict[str, dict[str, ClassFacts]] = {}
-
-
-def class_facts(cls: type) -> ClassFacts | None:
-    """The AST facts for a component class (module-level cache)."""
-    module = inspect.getmodule(cls)
-    if module is None:
-        return None
-    path = getattr(module, "__file__", None)
-    if path is None:
-        return None
-    if path not in _MODULE_FACTS_CACHE:
-        try:
-            text = inspect.getsource(module)
-            _MODULE_FACTS_CACHE[path] = scan_module_params(text, path)
-        except (OSError, TypeError, SyntaxError):
-            _MODULE_FACTS_CACHE[path] = {}
-    return _MODULE_FACTS_CACHE[path].get(cls.__name__)
-
-
-# --------------------------------------------------------------------------
 # extraction + emission
 # --------------------------------------------------------------------------
 def extract_manifest(cls: type) -> ComponentManifest:
     """Derive a draft manifest from a component class's source.
 
     Ports come from the sandbox harvest (``__init__`` + ``set_services``
-    only, per the CCA contract); parameters from the AST scan;
-    checkpoint/scmd declarations from the class surface.  The draft is
+    only, per the CCA contract); parameters and ``# scmd: shared``
+    attributes from the source model (:func:`repro.analysis.source.
+    model_of`); the checkpoint declaration from the class surface.  The draft is
     the starting point for hand annotation — ranges and choices cannot
     be inferred.
     """
     from repro.analysis.wiring import harvest_port_table
 
     table = harvest_port_table(cls)
-    facts = class_facts(cls)
+    model = model_of(cls)
     provides = [PortSpec(name=n, type=t)
                 for n, t in sorted(table.provides.items())]
     uses = [PortSpec(name=n, type=t,
@@ -509,11 +283,11 @@ def extract_manifest(cls: type) -> ComponentManifest:
     params: list[ParamSpec] = []
     dynamic = False
     scmd_shared: list[str] = []
-    if facts is not None:
-        dynamic = facts.dynamic_reads
-        scmd_shared = sorted(facts.scmd_shared)
-        for name in sorted(facts.params):
-            read = facts.params[name]
+    if model is not None:
+        dynamic = model.dynamic_reads
+        scmd_shared = model.scmd_shared
+        for name in sorted(model.params):
+            read = model.params[name]
             params.append(ParamSpec(name=name, type=read.type,
                                     default=read.default))
     return ComponentManifest(
@@ -667,7 +441,7 @@ def _drift_one(cls: type, manifest: ComponentManifest,
             path=path, context=cname)]
 
     src_file = getattr(inspect.getmodule(cls), "__file__", None)
-    facts = class_facts(cls)
+    model = model_of(cls)
 
     # -- ports -------------------------------------------------------------
     for kind, src_ports, man_ports in (
@@ -699,7 +473,7 @@ def _drift_one(cls: type, manifest: ComponentManifest,
                     path=path, context=cname))
 
     # -- parameters --------------------------------------------------------
-    dynamic = facts.dynamic_reads if facts is not None else True
+    dynamic = model.dynamic_reads if model is not None else True
     man_params = {p.name: p for p in manifest.parameters}
     src_params = {p.name: p for p in extracted.parameters}
     for name, read in src_params.items():
@@ -808,8 +582,7 @@ def check_drift(classes: Iterable[type] | None = None,
 __all__ = [
     "MANIFEST_SCHEMA", "PARAM_TYPES",
     "ComponentManifest", "PortSpec", "ParamSpec",
-    "ParamRead", "ClassFacts",
-    "default_manifest_dir", "scan_module_params", "class_facts",
+    "default_manifest_dir",
     "extract_manifest", "merge_manifest", "emit_manifest",
     "write_manifest", "manifest_path",
     "load_manifest_file", "load_manifest_dir", "load_manifests",

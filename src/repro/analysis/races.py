@@ -19,10 +19,11 @@ SCMD execution model of :func:`repro.mpi.launcher.mpirun`:
   ranks — the others never arrive, and the rendezvous in
   ``repro.mpi.comm`` deadlocks (then times out).
 
-The per-component read/write sets come from the AST: module/class shared
-state reuses the RA2xx model (:func:`repro.analysis.scmd_safety.shared_bindings`),
-and patch arrays are tracked through the GrACE/Hierarchy accessor
-surface (``dobj.array(p)`` writes inside loops over ``.patches``).
+The per-component write sets are the RA2xx ones, from the source model
+(:func:`repro.analysis.source.shared_writes`); patch arrays are tracked
+through the GrACE/Hierarchy accessor surface (``dobj.array(p)`` writes
+inside loops over ``.patches``).  The rc-script checks (RA306/RA307)
+read the script's :class:`~repro.analysis.contracts.AssemblyModel`.
 
 Findings
 --------
@@ -53,22 +54,19 @@ the same terms as the RA2xx pass.
 from __future__ import annotations
 
 import ast
-import inspect
-from dataclasses import dataclass, field
 from typing import Sequence, Type
 
+from repro.analysis.contracts import model_from_script
 from repro.analysis.findings import Finding, finding
 from repro.analysis.scmd_safety import (
     DEFAULT_ALLOWLIST,
     PRAGMA,
-    STEP_METHODS,
     _CONSTANT_NAME,
-    _MUTATING_METHODS,
-    _Ctx,
-    shared_bindings,
 )
+from repro.analysis.source import (ClassModel, Method, ModuleModel,
+                                   SharedWrite, model_of, parse_module,
+                                   shared_writes)
 from repro.cca.component import Component
-from repro.cca.script import parse_script_tolerant
 
 #: rendezvous operations in :class:`repro.mpi.comm.Comm` — every rank
 #: must arrive, and arrival orders the participants' clocks.
@@ -105,91 +103,6 @@ def _is_owner_guard(test: ast.expr) -> bool:
                for n in ast.walk(test))
 
 
-@dataclass
-class _SharedModel:
-    """Shared-object universe of one source file."""
-
-    module_mutables: dict[str, int]
-    class_mutables: dict[str, dict[str, int]]
-    class_names: set[str] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        self.class_names = set(self.class_mutables)
-
-
-def _classify_write(node: ast.stmt, model: _SharedModel,
-                    class_name: str, globals_declared: set[str],
-                    shadowed: set[str]) -> list[tuple[str, bool]]:
-    """Shared-object targets written by one statement.
-
-    Returns ``(name, is_accumulation)`` pairs where ``name`` is the
-    shared binding (module global or class attribute) being written.
-    """
-    own = model.class_mutables.get(class_name, {})
-    out: list[tuple[str, bool]] = []
-    accum = isinstance(node, ast.AugAssign)
-    targets: list[ast.expr] = []
-    if isinstance(node, ast.Assign):
-        targets = node.targets
-    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        targets = [node.target]
-    for t in targets:
-        if isinstance(t, ast.Attribute):
-            base = t.value
-            if isinstance(base, ast.Name) and base.id in model.class_names:
-                out.append((t.attr, accum))
-            elif isinstance(base, ast.Attribute) and \
-                    base.attr == "__class__":
-                out.append((t.attr, accum))
-            elif accum and isinstance(base, ast.Name) and \
-                    base.id == "self" and t.attr in own and \
-                    t.attr not in shadowed:
-                out.append((t.attr, True))
-        elif isinstance(t, ast.Name) and t.id in globals_declared:
-            out.append((t.id, accum))
-        elif isinstance(t, ast.Subscript):
-            base = t.value
-            if isinstance(base, ast.Name) and \
-                    base.id in model.module_mutables:
-                out.append((base.id, accum))
-            elif isinstance(base, ast.Attribute):
-                owner = base.value
-                if isinstance(owner, ast.Name) and \
-                        owner.id in model.class_names:
-                    out.append((base.attr, accum))
-                elif isinstance(owner, ast.Attribute) and \
-                        owner.attr == "__class__":
-                    out.append((base.attr, accum))
-                elif isinstance(owner, ast.Name) and owner.id == "self" \
-                        and base.attr in own and base.attr not in shadowed:
-                    out.append((base.attr, accum))
-    return out
-
-
-def _classify_mutating_call(node: ast.Call, model: _SharedModel,
-                            class_name: str,
-                            shadowed: set[str]) -> tuple[str, str] | None:
-    """``(name, method)`` when the call mutates a shared object."""
-    if not isinstance(node.func, ast.Attribute) or \
-            node.func.attr not in _MUTATING_METHODS:
-        return None
-    own = model.class_mutables.get(class_name, {})
-    recv = node.func.value
-    meth = node.func.attr
-    if isinstance(recv, ast.Name) and recv.id in model.module_mutables:
-        return recv.id, meth
-    if isinstance(recv, ast.Attribute):
-        owner = recv.value
-        if isinstance(owner, ast.Name) and owner.id in model.class_names:
-            return recv.attr, meth
-        if isinstance(owner, ast.Attribute) and owner.attr == "__class__":
-            return recv.attr, meth
-        if isinstance(owner, ast.Name) and owner.id == "self" and \
-                recv.attr in own and recv.attr not in shadowed:
-            return recv.attr, meth
-    return None
-
-
 def _is_collective_call(node: ast.AST) -> bool:
     return isinstance(node, ast.Call) and \
         isinstance(node.func, ast.Attribute) and \
@@ -199,43 +112,33 @@ def _is_collective_call(node: ast.AST) -> bool:
 class _MethodScanner:
     """One rank-executed method: write/read sets vs. ordering points."""
 
-    def __init__(self, ctx: _Ctx, model: _SharedModel, class_name: str,
-                 method: ast.FunctionDef) -> None:
-        self.ctx = ctx
-        self.model = model
-        self.class_name = class_name
+    def __init__(self, cls: ClassModel, method: Method,
+                 allowlist: frozenset[str]) -> None:
+        self.cls = cls
+        self.model = cls.module
+        self.class_name = cls.name
         self.method = method
+        self.allowlist = allowlist
         self.out: list[Finding] = []
-        self.globals_declared: set[str] = set()
-        self.shadowed: set[str] = set()
         #: linenos of collectives executed by *all* ranks (unguarded)
         self.uniform_collectives: list[int] = []
-        #: (lineno, name) of rank-guarded shared writes, for RA303
-        self.guarded_writes: list[tuple[int, str]] = []
-        for node in ast.walk(method):
-            if isinstance(node, ast.Global):
-                self.globals_declared.update(node.names)
-            if isinstance(node, ast.Assign):
-                for t in node.targets:
-                    if isinstance(t, ast.Attribute) and \
-                            isinstance(t.value, ast.Name) and \
-                            t.value.id == "self":
-                        self.shadowed.add(t.attr)
+        #: rank-guarded shared writes, for RA303
+        self.guarded_writes: list[SharedWrite] = []
 
     # -- emit helpers ------------------------------------------------------
     def flag(self, code: str, node: ast.AST, message: str,
              target: str | None = None) -> None:
-        if self.ctx.pragma(node):
+        if self.model.pragma(node):
             return
-        if target is not None and target in self.ctx.allowlist:
+        if target is not None and target in self.allowlist:
             return
         self.out.append(finding(
-            code, message, path=self.ctx.path, line=node.lineno,
+            code, message, path=self.model.path, line=node.lineno,
             context=self.class_name))
 
     # -- walk --------------------------------------------------------------
     def scan(self) -> list[Finding]:
-        self._scan_block(self.method.body, rank_guarded=False,
+        self._scan_block(self.method.node.body, rank_guarded=False,
                          patch_var=None, owner_ok=False)
         self._check_unpublished()
         return self.out
@@ -308,23 +211,12 @@ class _MethodScanner:
 
         # -- leaf statement: shared writes, patch writes, collectives ------
         written: set[str] = set()
-        for name, accum in _classify_write(
-                stmt, self.model, self.class_name, self.globals_declared,
-                self.shadowed):
-            written.add(name)
-            self._record_write(stmt, name, accum, rank_guarded)
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                hit = _classify_mutating_call(
-                    node, self.model, self.class_name, self.shadowed)
-                if hit is not None:
-                    name, meth = hit
-                    written.add(name)
-                    self._record_write(
-                        node, name, meth in _ACCUMULATORS, rank_guarded,
-                        spelled=f".{meth}()")
-                if _is_collective_call(node) and not rank_guarded:
-                    self.uniform_collectives.append(node.lineno)
+            for w in shared_writes(node, self.cls, self.method):
+                written.add(w.name)
+                self._record_write(w, rank_guarded)
+            if _is_collective_call(node) and not rank_guarded:
+                self.uniform_collectives.append(node.lineno)
         self._check_patch_write(stmt, patch_var, owner_ok)
         self._check_shared_reads(stmt, written)
 
@@ -336,15 +228,16 @@ class _MethodScanner:
                 self.uniform_collectives.append(node.lineno)
 
     # -- checks ------------------------------------------------------------
-    def _record_write(self, node: ast.AST, name: str, accum: bool,
-                      rank_guarded: bool, spelled: str = "") -> None:
-        if name in self.ctx.allowlist:
+    def _record_write(self, w: SharedWrite, rank_guarded: bool) -> None:
+        node, name = w.node, w.name
+        if name in self.allowlist:
             return
         where = f"{self.class_name}.{self.method.name}"
         if rank_guarded:
-            self.guarded_writes.append((node.lineno, name))
+            self.guarded_writes.append(w)
             return
-        if accum:
+        spelled = f".{w.method}()" if w.method else ""
+        if w.accum or w.method in _ACCUMULATORS:
             self.flag(
                 "RA302", node,
                 f"{where} accumulates into shared {name!r}{spelled} on "
@@ -378,19 +271,15 @@ class _MethodScanner:
                             f"collective out of the rank test")
 
     def _check_unpublished(self) -> None:
-        for lineno, name in self.guarded_writes:
-            if any(c > lineno for c in self.uniform_collectives):
+        for w in self.guarded_writes:
+            if any(c > w.node.lineno for c in self.uniform_collectives):
                 continue
-            if self.ctx.pragma(lineno):
-                continue
-            self.out.append(finding(
-                "RA303",
+            self.flag(
+                "RA303", w.node,
                 f"{self.class_name}.{self.method.name} writes shared "
-                f"{name!r} under a rank guard but no collective follows "
+                f"{w.name!r} under a rank guard but no collective follows "
                 f"in this method — other ranks can read the stale value; "
-                f"publish with bcast/allreduce or a barrier",
-                path=self.ctx.path, line=lineno,
-                context=self.class_name))
+                f"publish with bcast/allreduce or a barrier")
 
     def _check_patch_write(self, stmt: ast.stmt, patch_var: str | None,
                            owner_ok: bool) -> None:
@@ -426,9 +315,9 @@ class _MethodScanner:
                     isinstance(node.ctx, ast.Load)):
                 continue
             name = node.id
-            if name not in self.model.module_mutables or \
+            if name not in self.model.mutables or \
                     name in written or \
-                    name in self.ctx.allowlist or \
+                    name in self.allowlist or \
                     _CONSTANT_NAME.match(name):
                 continue
             self.flag(
@@ -445,24 +334,20 @@ def analyze_source_races(text: str, path: str = "<source>",
                          ) -> list[Finding]:
     """Run the static race pass over one Python source text."""
     try:
-        tree = ast.parse(text, filename=path)
+        model = parse_module(text, path)
     except SyntaxError:
         return []  # scmd_safety already reports RA001 for this file
-    ctx = _Ctx(path=path, lines=text.splitlines(), allowlist=allowlist)
-    module_mutables, class_mutables = shared_bindings(tree)
-    model = _SharedModel(module_mutables, class_mutables)
+    return analyze_model_races(model, allowlist)
+
+
+def analyze_model_races(model: ModuleModel,
+                        allowlist: frozenset[str] = DEFAULT_ALLOWLIST,
+                        ) -> list[Finding]:
+    """RA301-RA305 and RA308 over one parsed module."""
     out: list[Finding] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for method in node.body:
-            if not isinstance(method, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
-                continue
-            if method.name not in STEP_METHODS:
-                continue
-            out.extend(_MethodScanner(ctx, model, node.name,
-                                      method).scan())
+    for cls in model.classes:
+        for method in cls.step_methods:
+            out.extend(_MethodScanner(cls, method, allowlist).scan())
     return out
 
 
@@ -481,61 +366,25 @@ def _class_write_keys(cls: Type[Component]) -> set[str]:
     ``Class.attr`` for class attributes, so two instances of different
     classes in one module still collide on the module global.
     """
-    try:
-        source = inspect.getsource(inspect.getmodule(cls))
-    except (OSError, TypeError):
+    model = model_of(cls)
+    if model is None:
         return set()
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return set()
-    module_mutables, class_mutables = shared_bindings(tree)
-    model = _SharedModel(module_mutables, class_mutables)
-    modname = getattr(inspect.getmodule(cls), "__name__", "?")
+    class_attrs = {a for c in model.module.classes for a in c.mutables}
     keys: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef) or node.name != cls.__name__:
-            continue
-        own = class_mutables.get(node.name, {})
-        for method in node.body:
-            if not isinstance(method, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
+    for method in model.step_methods:
+        for w in model.writes(method):
+            if w.name in DEFAULT_ALLOWLIST:
                 continue
-            if method.name not in STEP_METHODS:
+            if w.method is None:
+                own = w.name in model.mutables or w.name in class_attrs
+            elif w.name in model.mutables:
+                own = True
+            elif w.name in model.module.mutables:
+                own = False
+            else:
                 continue
-            globals_declared: set[str] = set()
-            shadowed: set[str] = set()
-            for inner in ast.walk(method):
-                if isinstance(inner, ast.Global):
-                    globals_declared.update(inner.names)
-                if isinstance(inner, ast.Assign):
-                    for t in inner.targets:
-                        if isinstance(t, ast.Attribute) and \
-                                isinstance(t.value, ast.Name) and \
-                                t.value.id == "self":
-                            shadowed.add(t.attr)
-            for inner in ast.walk(method):
-                if isinstance(inner, ast.stmt):
-                    for name, _accum in _classify_write(
-                            inner, model, node.name, globals_declared,
-                            shadowed):
-                        if name in DEFAULT_ALLOWLIST:
-                            continue
-                        if name in own or name in \
-                                {a for attrs in class_mutables.values()
-                                 for a in attrs}:
-                            keys.add(f"{node.name}.{name}")
-                        else:
-                            keys.add(f"{modname}:{name}")
-                if isinstance(inner, ast.Call):
-                    hit = _classify_mutating_call(
-                        inner, model, node.name, shadowed)
-                    if hit is not None and hit[0] not in DEFAULT_ALLOWLIST:
-                        name = hit[0]
-                        if name in own:
-                            keys.add(f"{node.name}.{name}")
-                        elif name in module_mutables:
-                            keys.add(f"{modname}:{name}")
+            keys.add(f"{model.name}.{w.name}" if own
+                     else f"{cls.__module__}:{w.name}")
     return keys
 
 
@@ -549,47 +398,30 @@ def analyze_script_races(text: str,
     same shared object is written by two or more instances reachable
     from the union of all ``go`` targets — in SCMD mode those instances
     run on every rank-thread, so the writes race through two proxies.
+    Both read the script's :class:`~repro.analysis.contracts.AssemblyModel`.
     """
     from repro.analysis.wiring import default_classes
 
     out: list[Finding] = []
-    directives, _errors = parse_script_tolerant(text)
-    go_lines = [d.line_no for d in directives if d.verb == "go"]
-    first_go = min(go_lines) if go_lines else None
-
+    model = model_from_script(text, path)
+    first_go = model.first_go
     if first_go is not None:
-        for d in directives:
-            if d.verb == "parameter" and d.line_no > first_go:
+        for inst, key, _value, line, raw in model.parameters:
+            if line > first_go:
                 out.append(finding(
                     "RA306",
-                    f"parameter {' '.join(d.args)} on line {d.line_no} "
+                    f"parameter {inst} {key} {raw} on line {line} "
                     f"runs after go (line {first_go}) — connect-time "
                     f"configuration mutated once ranks are stepping",
-                    path=path, line=d.line_no, context=d.args[0]))
+                    path=path, line=line, context=inst))
 
     # -- RA307: shared write keys reachable through >= 2 instances --------
     registry = {cls.__name__: cls
                 for cls in (classes if classes is not None
                             else default_classes())}
-    instantiated = {d.args[1]: d.args[0] for d in directives
-                    if d.verb == "instantiate"}
-    edges: dict[str, set[str]] = {}
-    for d in directives:
-        if d.verb == "connect":
-            user, _uport, provider, _pport = d.args
-            edges.setdefault(user, set()).add(provider)
-    reachable: set[str] = set()
-    frontier = [d.args[0] for d in directives if d.verb == "go"]
-    while frontier:
-        inst = frontier.pop()
-        if inst in reachable:
-            continue
-        reachable.add(inst)
-        frontier.extend(edges.get(inst, ()))
-
     writers: dict[str, list[str]] = {}
-    for inst in sorted(reachable):
-        cls = registry.get(instantiated.get(inst, ""))
+    for inst in sorted(model.reachable()):
+        cls = registry.get(model.instances.get(inst, ""))
         if cls is None:
             continue
         for key in _class_write_keys(cls):

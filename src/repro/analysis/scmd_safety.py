@@ -5,18 +5,18 @@ as rank-threads inside one Python process.  Real MPI ranks get private
 address spaces for free; our rank-threads do **not** — any module-level
 mutable object or mutated class attribute is silently shared across
 ranks, the exact hazard the paper's per-process frameworks avoid.  This
-AST pass flags that state without importing anything:
+pass flags that state without importing anything, from the mutable
+bindings and shared writes of :mod:`repro.analysis.source`:
 
 * ``RA201`` — module-level mutable bound to a non-constant-style name.
 * ``RA202`` — mutable class attribute (shared by every instance on every
   rank-thread).
 * ``RA203`` — class attribute or module global *mutated* inside a
   ``go``/``run``/``step``-style method — the write races across ranks.
-  Mutation is caught in every spelling: direct assignment, subscript
-  stores, augmented assignment (``Cls.cache += ...``,
-  ``self.tallies[k] += 1`` on a class-level dict), and mutating method
-  calls (``Cls.seen.add(...)``, ``self.history.append(...)``,
-  ``__class__.cfg.update(...)``).
+  Every spelling :func:`repro.analysis.source.shared_writes` knows
+  counts: assignment, subscript stores, ``+=``, ``global`` rebinds and
+  mutating method calls (``Cls.seen.add(...)``,
+  ``self.history.append(...)``).
 * ``RA204`` — module-level mutable bound to a CONSTANT_STYLE name
   (read-only by convention; reported as info so reviewers see it).
 
@@ -26,16 +26,16 @@ module, metric registries — are exempt by name
 pragma comment ``# scmd: shared`` to opt in deliberately (document why
 next to it).  The pragma matches anywhere on any line the statement
 spans (so multi-line literals and lines with trailing commentary after
-the pragma opt out too), with flexible spacing (``#scmd:shared`` works).
+the pragma opt out too), with flexible spacing (``#scmd:shared`` works);
+the manifest's ``scmd_shared`` list reads the same rule.
 """
 
 from __future__ import annotations
 
-import ast
 import re
-from dataclasses import dataclass
 
 from repro.analysis.findings import Finding, finding
+from repro.analysis.source import ModuleModel, parse_module, syntax_finding
 
 #: names whose module-level bindings are deliberately process-wide —
 #: the obs registry/tracer and logging singletons the subsystems share.
@@ -47,106 +47,11 @@ DEFAULT_ALLOWLIST = frozenset({
 })
 
 #: the pragma that marks a statement as intentionally shared (canonical
-#: spelling; matching is done by :data:`_PRAGMA_RE` so spacing varies).
+#: spelling; :meth:`repro.analysis.source.ModuleModel.pragma` matches it
+#: with flexible spacing).
 PRAGMA = "# scmd: shared"
 
-#: tolerant pragma matcher: optional space after ``#`` and around the
-#: colon, and anything may follow (a why-comment on the same line).
-_PRAGMA_RE = re.compile(r"#\s*scmd\s*:\s*shared\b")
-
-#: rank-executed entry points whose writes to shared state race.
-STEP_METHODS = frozenset({
-    "go", "run", "step", "advance", "integrate", "apply", "exchange",
-    "regrid", "initialize",
-})
-
 _CONSTANT_NAME = re.compile(r"^_?[A-Z][A-Z0-9_]*$")
-
-#: constructor names producing mutable containers.
-_MUTABLE_CALLS = frozenset({
-    "dict", "list", "set", "bytearray", "defaultdict", "deque",
-    "Counter", "OrderedDict",
-    "zeros", "ones", "empty", "full", "array", "arange", "linspace",
-    "zeros_like", "ones_like", "empty_like", "full_like",
-})
-
-#: method calls that mutate their receiver.
-_MUTATING_METHODS = frozenset({
-    "append", "extend", "insert", "add", "update", "setdefault", "pop",
-    "popitem", "remove", "discard", "clear", "sort", "reverse", "fill",
-})
-
-
-def _is_mutable_value(node: ast.expr) -> bool:
-    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
-                         ast.ListComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else \
-            func.attr if isinstance(func, ast.Attribute) else None
-        return name in _MUTABLE_CALLS
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        # [0] * n style preallocation
-        return _is_mutable_value(node.left) or _is_mutable_value(node.right)
-    return False
-
-
-def _assign_names(node: ast.stmt) -> list[tuple[str, ast.expr | None]]:
-    """(name, value) pairs for plain-name assignments in a statement."""
-    if isinstance(node, ast.Assign):
-        return [(t.id, node.value) for t in node.targets
-                if isinstance(t, ast.Name)]
-    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        return [(node.target.id, node.value)]
-    return []
-
-
-@dataclass
-class _Ctx:
-    path: str
-    lines: list[str]
-    allowlist: frozenset[str]
-
-    def pragma(self, node: ast.AST | int) -> bool:
-        """True when the pragma appears on *any* line the statement
-        spans — a multi-line literal can carry it on its closing brace
-        just as well as on the opening line."""
-        if isinstance(node, int):
-            first = last = node
-        else:
-            first = getattr(node, "lineno", 0)
-            last = getattr(node, "end_lineno", None) or first
-        for lineno in range(first, last + 1):
-            if 1 <= lineno <= len(self.lines) and \
-                    _PRAGMA_RE.search(self.lines[lineno - 1]):
-                return True
-        return False
-
-
-def shared_bindings(tree: ast.Module) -> tuple[dict[str, int],
-                                               dict[str, dict[str, int]]]:
-    """The file's shared-object model, reused by the RA3xx race pass.
-
-    Returns ``(module_mutables, class_mutables)`` where the first maps a
-    module-level mutable binding to its line and the second maps a class
-    name to its mutable class attributes (``attr -> line``).
-    """
-    module_mutables: dict[str, int] = {}
-    for node in tree.body:
-        for name, value in _assign_names(node):
-            if value is not None and _is_mutable_value(value):
-                module_mutables.setdefault(name, node.lineno)
-    class_mutables: dict[str, dict[str, int]] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        attrs = class_mutables.setdefault(node.name, {})
-        for stmt in node.body:
-            for name, value in _assign_names(stmt):
-                if value is not None and _is_mutable_value(value):
-                    attrs.setdefault(name, stmt.lineno)
-    return module_mutables, class_mutables
 
 
 def analyze_source(text: str, path: str = "<source>",
@@ -154,190 +59,62 @@ def analyze_source(text: str, path: str = "<source>",
                    ) -> list[Finding]:
     """Run the SCMD shared-state pass over one Python source text."""
     try:
-        tree = ast.parse(text, filename=path)
+        model = parse_module(text, path)
     except SyntaxError as exc:
-        return [finding("RA001", f"not parseable as Python: {exc.msg}",
-                        path=path, line=exc.lineno)]
-    ctx = _Ctx(path=path, lines=text.splitlines(), allowlist=allowlist)
+        return [syntax_finding(exc, path)]
+    return analyze_model(model, allowlist)
+
+
+def analyze_model(model: ModuleModel,
+                  allowlist: frozenset[str] = DEFAULT_ALLOWLIST,
+                  ) -> list[Finding]:
+    """The RA2xx checks over one parsed module."""
+    path = model.path
     out: list[Finding] = []
-    module_mutables_map, class_mutables = shared_bindings(tree)
-    module_mutables = set(module_mutables_map)
 
     # -- pass 1: module-level and class-level bindings ----------------------
-    for node in tree.body:
-        for name, value in _assign_names(node):
-            if value is None or not _is_mutable_value(value):
-                continue
-            if name in ctx.allowlist or ctx.pragma(node):
-                continue
-            if _CONSTANT_NAME.match(name):
-                out.append(finding(
-                    "RA204",
-                    f"module-level mutable {name!r} is shared across "
-                    f"SCMD rank-threads (constant-style name: treated "
-                    f"as read-only)",
-                    path=path, line=node.lineno, context=name))
-            else:
-                out.append(finding(
-                    "RA201",
-                    f"module-level mutable {name!r} is shared across "
-                    f"SCMD rank-threads; make it per-instance, rename "
-                    f"it CONSTANT_STYLE, or mark it '{PRAGMA}'",
-                    path=path, line=node.lineno, context=name))
-
-    class_names: set[str] = set(class_mutables)
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
+    for name, node in model.mutable_bindings:
+        if name in allowlist or model.pragma(node):
             continue
-        for stmt in node.body:
-            for name, value in _assign_names(stmt):
-                if value is None or not _is_mutable_value(value):
-                    continue
-                if name in ctx.allowlist or ctx.pragma(stmt):
-                    continue
-                out.append(finding(
-                    "RA202",
-                    f"{node.name}.{name} is a mutable class attribute — "
-                    f"one object shared by every instance on every "
-                    f"rank-thread; initialise it in __init__ or "
-                    f"set_services",
-                    path=path, line=stmt.lineno, context=node.name))
+        if _CONSTANT_NAME.match(name):
+            out.append(finding(
+                "RA204",
+                f"module-level mutable {name!r} is shared across "
+                f"SCMD rank-threads (constant-style name: treated "
+                f"as read-only)",
+                path=path, line=node.lineno, context=name))
+        else:
+            out.append(finding(
+                "RA201",
+                f"module-level mutable {name!r} is shared across "
+                f"SCMD rank-threads; make it per-instance, rename "
+                f"it CONSTANT_STYLE, or mark it '{PRAGMA}'",
+                path=path, line=node.lineno, context=name))
+
+    for cls in model.classes:
+        for name, stmt in cls.mutable_bindings:
+            if name in allowlist or model.pragma(stmt):
+                continue
+            out.append(finding(
+                "RA202",
+                f"{cls.name}.{name} is a mutable class attribute — "
+                f"one object shared by every instance on every "
+                f"rank-thread; initialise it in __init__ or "
+                f"set_services",
+                path=path, line=stmt.lineno, context=cls.name))
 
     # -- pass 2: mutations inside rank-executed methods --------------------
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for method in node.body:
-            if not isinstance(method, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
-                continue
-            if method.name not in STEP_METHODS:
-                continue
-            out.extend(_scan_method(
-                ctx, node.name, method, module_mutables, class_names,
-                class_mutables.get(node.name, {})))
-    return out
-
-
-def _is_self(node: ast.expr) -> bool:
-    return isinstance(node, ast.Name) and node.id == "self"
-
-
-def _scan_method(ctx: _Ctx, class_name: str, method: ast.FunctionDef,
-                 module_mutables: set[str],
-                 class_names: set[str],
-                 own_mutables: dict[str, int] | None = None,
-                 ) -> list[Finding]:
-    out: list[Finding] = []
-    globals_declared: set[str] = set()
-    own_mutables = own_mutables or {}
-    # ``self.attr = ...`` plain stores shadow the class attribute with an
-    # instance attribute — after one, later ``self.attr`` uses are private.
-    shadowed: set[str] = set()
-    for node in ast.walk(method):
-        if isinstance(node, ast.Assign):
-            for t in node.targets:
-                if isinstance(t, ast.Attribute) and _is_self(t.value):
-                    shadowed.add(t.attr)
-
-    def flag(node: ast.AST, what: str, target: str) -> None:
-        if ctx.pragma(node) or target in ctx.allowlist:
-            return
-        out.append(finding(
-            "RA203",
-            f"{class_name}.{method.name} {what} — rank-threads share "
-            f"this object in SCMD mode; move it to instance state or "
-            f"mark it '{PRAGMA}'",
-            path=ctx.path, line=node.lineno, context=class_name))
-
-    def is_class_shared_self_attr(attr: str) -> bool:
-        return attr in own_mutables and attr not in shadowed
-
-    for node in ast.walk(method):
-        if isinstance(node, ast.Global):
-            globals_declared.update(node.names)
-        # ClassName.attr = ... / self.__class__.attr = ...
-        targets: list[ast.expr] = []
-        if isinstance(node, (ast.Assign,)):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        for t in targets:
-            if isinstance(t, ast.Attribute):
-                base = t.value
-                if isinstance(base, ast.Name) and base.id in class_names:
-                    flag(node,
-                         f"assigns class attribute {base.id}.{t.attr}",
-                         t.attr)
-                elif isinstance(base, ast.Attribute) and \
-                        base.attr == "__class__":
-                    flag(node,
-                         f"assigns class attribute via __class__.{t.attr}",
-                         t.attr)
-                elif isinstance(node, ast.AugAssign) and \
-                        _is_self(base) and \
-                        is_class_shared_self_attr(t.attr):
-                    # self.attr += ... mutates the shared class-level
-                    # container in place (no instance shadow is created
-                    # for lists/arrays; dict += is a TypeError anyway)
-                    flag(node,
-                         f"augments self.{t.attr} — a class-level "
-                         f"mutable of {class_name}", t.attr)
-            elif isinstance(t, ast.Name) and t.id in globals_declared:
-                flag(node, f"rebinds module global {t.id!r}", t.id)
-            elif isinstance(t, ast.Subscript):
-                base = t.value
-                if isinstance(base, ast.Name) and \
-                        base.id in module_mutables:
-                    flag(node,
-                         f"writes into module-level {base.id!r}", base.id)
-                elif isinstance(base, ast.Attribute):
-                    owner = base.value
-                    if isinstance(owner, ast.Name) and \
-                            owner.id in class_names:
-                        flag(node,
-                             f"writes into class attribute "
-                             f"{owner.id}.{base.attr}", base.attr)
-                    elif isinstance(owner, ast.Attribute) and \
-                            owner.attr == "__class__":
-                        flag(node,
-                             f"writes into class attribute via "
-                             f"__class__.{base.attr}", base.attr)
-                    elif _is_self(owner) and \
-                            is_class_shared_self_attr(base.attr):
-                        flag(node,
-                             f"writes into self.{base.attr} — a "
-                             f"class-level mutable of {class_name}",
-                             base.attr)
-        # mutating-method calls on shared containers, in every spelling:
-        # _CACHE.append(...), Cls.seen.add(...), __class__.cfg.update(...),
-        # self.history.append(...) when ``history`` is a class-level mutable
-        if isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Attribute) and \
-                node.func.attr in _MUTATING_METHODS:
-            recv = node.func.value
-            meth = node.func.attr
-            if isinstance(recv, ast.Name) and recv.id in module_mutables:
-                flag(node,
-                     f"calls {recv.id}.{meth}() on module-level state",
-                     recv.id)
-            elif isinstance(recv, ast.Attribute):
-                owner = recv.value
-                if isinstance(owner, ast.Name) and owner.id in class_names:
-                    flag(node,
-                         f"calls {owner.id}.{recv.attr}.{meth}() on a "
-                         f"class-level mutable", recv.attr)
-                elif isinstance(owner, ast.Attribute) and \
-                        owner.attr == "__class__":
-                    flag(node,
-                         f"calls __class__.{recv.attr}.{meth}() on a "
-                         f"class-level mutable", recv.attr)
-                elif _is_self(owner) and \
-                        is_class_shared_self_attr(recv.attr):
-                    flag(node,
-                         f"calls self.{recv.attr}.{meth}() on a "
-                         f"class-level mutable of {class_name}",
-                         recv.attr)
+    for cls in model.classes:
+        for method in cls.step_methods:
+            for w in cls.writes(method):
+                if model.pragma(w.node) or w.name in allowlist:
+                    continue
+                out.append(finding(
+                    "RA203",
+                    f"{cls.name}.{method.name} {w.what} — rank-threads "
+                    f"share this object in SCMD mode; move it to instance "
+                    f"state or mark it '{PRAGMA}'",
+                    path=path, line=w.node.lineno, context=cls.name))
     return out
 
 

@@ -4,8 +4,7 @@ The paper's SCMD model is "P instances of the framework started by
 mpirun".  *How* those P processors are realized is a transport choice,
 not an application choice — FLASH swaps its parallel transport without
 touching component code, and hydroFlow's ``produtil.mpi_impl`` selects
-among interchangeable launchers (``mpiexec``, ``mpirun_lsf``,
-``no_mpi``) at runtime.  This package adopts that shape for the
+among interchangeable launchers at runtime.  This package adopts that shape for the
 toolkit: :func:`repro.mpi.launcher.mpirun` is a thin dispatcher over a
 backend registry, and the same rc-scripts / components / SCMD code
 paths run unchanged over any of:
@@ -23,10 +22,6 @@ paths run unchanged over any of:
     per-rank tracebacks pickled back into
     :class:`~repro.mpi.launcher.RankFailure`.  Escapes the GIL: real
     cores, real wall-clock speedups.
-``mpiexec``
-    A thin external-launcher/mpi4py backend
-    (:mod:`repro.exec.mpiexec`) for actual clusters; raises a clear
-    error when mpi4py or an ``mpiexec`` binary is absent.
 
 Selection order: the ``backend=`` keyword of ``mpirun`` /
 ``run_scmd`` / ``run_supervised``, else the ``REPRO_BACKEND``
@@ -45,8 +40,7 @@ from repro.errors import MPIError
 DEFAULT_BACKEND = "threads"
 
 #: name -> lazily-instantiated backend factory.  Factories (not
-#: instances) are registered so importing this package stays cheap and
-#: optional dependencies (mpi4py) are only probed on first use.
+#: instances) are registered so importing this package stays cheap.
 _FACTORIES: dict[str, Callable[[], ExecBackend]] = {}
 _INSTANCES: dict[str, ExecBackend] = {}
 
@@ -105,13 +99,8 @@ def _register_builtins() -> None:
         from repro.exec.mp import MPBackend
         return MPBackend()
 
-    def _mpiexec() -> ExecBackend:
-        from repro.exec.mpiexec import MpiexecBackend
-        return MpiexecBackend()
-
     register("threads", _threads)
     register("mp", _mp)
-    register("mpiexec", _mpiexec)
 
 
 _register_builtins()

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="localhost",
                      help="virtual-time machine model (default: localhost)")
     run.add_argument("--backend", default="",
-                     help="execution backend: threads | mp | mpiexec "
+                     help="execution backend: threads | mp "
                           "(default: $REPRO_BACKEND, then threads)")
     run.add_argument("--fault", metavar="SPEC", default="",
                      help="arm fault injection: key=value[,key=value...] "

@@ -163,6 +163,35 @@ def test_ra405_checkpoint_and_scmd_drift(widget_cls, tmp_path):
     assert codes(check_drift([widget_cls], d)).count("RA405") == 2
 
 
+def test_scmd_pragma_on_closing_line_agrees_with_ra202(tmp_path):
+    # a multi-line class attribute whose pragma sits on the closing
+    # brace: exempt from RA202, so the manifest must declare it shared
+    from repro.analysis.scmd_safety import analyze_file
+
+    src = tmp_path / "pragma_closing.py"
+    src.write_text(
+        "from repro.cca.component import Component\n"
+        "\n"
+        "\n"
+        "class Comp(Component):\n"
+        "    table = {\n"
+        "        'a': 1,\n"
+        "    }  # scmd: shared\n"
+        "\n"
+        "    def set_services(self, services):\n"
+        "        self.services = services\n",
+        encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("pragma_closing", src)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules["pragma_closing"] = mod
+    try:
+        spec.loader.exec_module(mod)
+        assert [f.code for f in analyze_file(str(src))] == []
+        assert extract_manifest(mod.Comp).scmd_shared == ["table"]
+    finally:
+        sys.modules.pop("pragma_closing", None)
+
+
 def test_ra406_missing_manifest(widget_cls, tmp_path):
     assert codes(check_drift([widget_cls], str(tmp_path))) == ["RA406"]
 

@@ -17,7 +17,7 @@ from repro.exec import (
 def test_builtins_registered():
     names = backend_names()
     assert names[0] == DEFAULT_BACKEND == "threads"
-    assert set(names) >= {"threads", "mp", "mpiexec"}
+    assert set(names) >= {"threads", "mp"}
 
 
 def test_resolve_default_is_threads(monkeypatch):
@@ -85,12 +85,3 @@ def test_require_available_names_usable_backends():
     assert "no such transport here" in msg
     assert "threads" in msg  # points at what *does* work
 
-
-def test_mpiexec_unavailable_without_mpi4py():
-    backend = get_backend("mpiexec")
-    ok, reason = backend.available()
-    if ok:  # environment actually has mpi4py: nothing to assert here
-        pytest.skip("mpi4py is importable in this environment")
-    assert "mpi4py" in reason
-    with pytest.raises(BackendUnavailableError, match="mpi4py"):
-        backend.require_available()
