@@ -10,15 +10,20 @@ from repro.bench import run_fig3_fig4, save_json, save_report
 
 def test_fig3_fig4_flame_evolution(benchmark):
     result = benchmark.pedantic(run_fig3_fig4, rounds=1, iterations=1)
+    snaps = result["snapshots"]
     path = save_report("fig3_fig4_flame", result["report"])
     json_path = save_json("fig3_fig4_flame", {
         "figure": "fig3_fig4",
         "refined": result["refined"],
-        "snapshots": result["snapshots"],
+        "snapshots": snaps,
+    }, metrics={
+        # trajectory KPIs: the final flame peak and the final refined
+        # cell count (AMR cost) after the last snapshot
+        "T_max_final": snaps[-1]["T_max"],
+        "cells_final": snaps[-1]["cells"],
     })
     benchmark.extra_info["report"] = path
     benchmark.extra_info["json"] = json_path
-    snaps = result["snapshots"]
     assert len(snaps) >= 3
     # initial state: cold background + hot spots
     assert snaps[0]["T_min"] < 350.0

@@ -1,16 +1,18 @@
 """Race-sanitizer cost on the Table 4 serial workload.
 
 The runtime sanitizer (:mod:`repro.mpi.sanitizer`) claims a
-flag-check-only disabled cost: every hook on a hot path (port dispatch,
-message send/recv, collective rendezvous, shadow-container mutators)
-short-circuits on the module flag ``sanitizer.on``.  This bench bounds
-that claim from above on the Table 4 component-path serial workload
-(per-cell stiff CVode integrations through CCA ports): the *armed*
-variant runs with ``sanitizer.configure()`` but outside any SCMD world,
-so every hook takes the flag check, the proxy indirection, and the
-early ``_state is None`` return — strictly more work than the disabled
-path's single flag check.  If even that ceiling stays within 5% of the
-bare run, the disabled cost does too.  Numbers land in the
+flag-check-only disabled cost: port dispatch and message send/recv and
+collective rendezvous short-circuit on the interceptor chain's
+``intercept.armed`` flag, shadow-container mutators on the module flag
+``sanitizer.on``.  This bench bounds that claim from above on the
+Table 4 component-path serial workload (per-cell stiff CVode
+integrations through CCA ports): the *armed* variant runs with
+``sanitizer.configure()`` but outside any SCMD world, so ``get_port``
+takes the armed path (provider label, a claims query the world-less
+sanitizer declines) and every other hook its early ``_state is None``
+return — strictly more work than the disabled path's single flag
+check.  If even that ceiling stays within 5% of the bare run, the
+disabled cost does too.  Numbers land in the
 ``BENCH_sanitizer_overhead.json`` trajectory so the regression gate
 watches the sanitizer's own cost over time.
 """
@@ -35,7 +37,7 @@ def run_overhead(n_cells: int | None = None, rounds: int = 3):
     sanitizer.deactivate()
     bare = _ComponentCase(1200.0, 6e-6, 1e-6, 1e-10)
     sanitizer.configure()
-    armed = _ComponentCase(1200.0, 6e-6, 1e-6, 1e-10)  # ports proxied
+    armed = _ComponentCase(1200.0, 6e-6, 1e-6, 1e-10)  # armed get_port
     baseline: list[float] = []
     armed_cpu: list[float] = []
     try:

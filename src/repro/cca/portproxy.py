@@ -1,68 +1,57 @@
-"""Transparent port proxy: the one place port calls are observed.
+"""Transparent port proxy: the one place port calls are intercepted.
 
-A :class:`TracingPortProxy` wraps a provides-port object and forwards
-every attribute access.  Method calls are:
-
-* traced as ``"provider:port.method"`` spans (category ``"port"``) when
-  :mod:`repro.obs.trace` is enabled, and
-* reported to an optional *recorder* (duck-typed ``begin(key) -> token``
-  / ``end(key, token)``) — :class:`repro.cca.profiling.Profiler` uses
-  this to account per-method CPU self-time in its metrics registry.
-
-Both :func:`repro.cca.profiling.instrument` (explicit TAU-style
-profiling) and :meth:`repro.cca.services.Services.get_port` (automatic
-wrapping while tracing is on) hand out this class, so a port is never
-double-wrapped: whoever sees a proxy passes it through unchanged.
+A :class:`TracingPortProxy` wraps a provides-port object, forwards every
+attribute access, and runs each method call through its interceptors'
+``port_call`` wrappers, outermost first.  Armed
+:meth:`repro.cca.services.Services.get_port` hands one out carrying the
+:mod:`repro.obs.intercept` subscribers that claim the port's label;
+:func:`repro.cca.profiling.instrument` hands one out carrying a
+:class:`~repro.cca.profiling.Profiler`.  :func:`wrap` merges the two, so
+an intercepted call pays one level of indirection.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.cca.port import Port
 from repro.errors import CCAError
-from repro.obs import trace as _trace
 
 
 class TracingPortProxy(Port):
-    """Recording wrapper around a provides-port object."""
+    """Forwarding wrapper running interceptors around method calls."""
 
     def __init__(self, target: Port, label: str,
-                 recorder: Any | None = None) -> None:
+                 interceptors: Sequence[Any]) -> None:
         # bypass our own __setattr__/__getattr__ plumbing
         object.__setattr__(self, "_target", target)
         object.__setattr__(self, "_label", label)
-        object.__setattr__(self, "_recorder", recorder)
+        object.__setattr__(self, "_interceptors", tuple(interceptors))
 
     @classmethod
     def port_type(cls):  # pragma: no cover - proxies are created wired
         raise CCAError("proxy has no static port type")
 
     def __getattr__(self, name: str) -> Any:
-        value = getattr(object.__getattribute__(self, "_target"), name)
+        target = object.__getattribute__(self, "_target")
+        value = getattr(target, name)
         if not callable(value):
             return value
-        label: str = object.__getattribute__(self, "_label")
-        recorder = object.__getattribute__(self, "_recorder")
-        key = f"{label}.{name}"
-
-        def wrapped(*args, **kwargs):
-            span = _trace.Span(key, "port", {}) if _trace.on else None
-            if recorder is None:
-                if span is None:
-                    return value(*args, **kwargs)
-                with span:
-                    return value(*args, **kwargs)
-            token = recorder.begin(key)
-            try:
-                if span is None:
-                    return value(*args, **kwargs)
-                with span:
-                    return value(*args, **kwargs)
-            finally:
-                recorder.end(key, token)
-
-        return wrapped
+        key = f"{object.__getattribute__(self, '_label')}.{name}"
+        for icpt in reversed(object.__getattribute__(self, "_interceptors")):
+            value = icpt.port_call(key, target, value)
+        return value
 
     def __setattr__(self, name: str, value: Any) -> None:
         setattr(object.__getattribute__(self, "_target"), name, value)
+
+
+def wrap(port: Port, label: str,
+         interceptors: Sequence[Any]) -> TracingPortProxy:
+    """``port`` behind one proxy running ``interceptors``, then any the
+    port was already proxied with."""
+    if isinstance(port, TracingPortProxy):
+        interceptors = (*interceptors,
+                        *object.__getattribute__(port, "_interceptors"))
+        port = object.__getattribute__(port, "_target")
+    return TracingPortProxy(port, label, interceptors)

@@ -8,14 +8,14 @@ per-method call counts and cumulative CPU self-time, attributed to the
 providing component — so a run produces the per-component cost breakdown
 TAU would.
 
-Since ISSUE 2 the bookkeeping lives in the :mod:`repro.obs` subsystem:
-each :class:`Profiler` owns a :class:`repro.obs.metrics.MetricsRegistry`
-and the proxies (shared with :mod:`repro.cca.portproxy`) feed two
-metrics, ``cca.port.calls`` and ``cca.port.self_cpu_seconds``, labelled
-by port method.  The :attr:`Profiler.stats` dict and text
-:meth:`Profiler.report` are *views* over that registry, and when
-:mod:`repro.obs.trace` is enabled the same proxies also emit per-call
-spans — one instrumentation point, three outputs.
+Each :class:`Profiler` owns a :class:`repro.obs.metrics.MetricsRegistry`
+with two metrics, ``cca.port.calls`` and ``cca.port.self_cpu_seconds``,
+labelled by port method; :attr:`Profiler.stats` and :meth:`Profiler.report`
+are views over it.  A profiler is an :mod:`repro.obs.intercept`
+subscriber of its own proxies only, never of the global chain, so it
+stays scoped to the framework passed to :func:`instrument`.  While the
+chain is armed, :meth:`~repro.cca.services.Services.get_port` folds it
+into its one proxy, innermost.
 
 Usage::
 
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 from repro.cca.framework import Framework
 from repro.cca.portproxy import TracingPortProxy
+from repro.obs.intercept import Interceptor
 from repro.obs.metrics import MetricsRegistry
 
 #: Registry metric names the profiler records under (label: ``method``).
@@ -53,11 +54,10 @@ class MethodStats:
     cpu_seconds: float = 0.0
 
 
-class Profiler:
+class Profiler(Interceptor):
     """Accumulates per-port-method statistics in a metrics registry.
 
-    Also the *recorder* the port proxies call back into: ``begin``/``end``
-    bracket every proxied method call, with an explicit nesting stack so
+    Its :meth:`port_call` wrapper keeps an explicit nesting stack so
     recorded CPU times are self-times (inner instrumented calls are
     subtracted from their caller).
     """
@@ -67,20 +67,23 @@ class Profiler:
         # [key, accumulated child cpu] per live call, innermost last
         self._stack: list[list] = []
 
-    # -- recorder protocol (called by TracingPortProxy) --------------------
-    def begin(self, key: str) -> float:
-        self._stack.append([key, 0.0])
-        return time.thread_time()
+    def port_call(self, key, target, fn):
+        def call(*args, **kwargs):
+            self._stack.append([key, 0.0])
+            start = time.thread_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.thread_time() - start
+                _key, child_cpu = self._stack.pop()
+                self.registry.counter(CALLS_METRIC, method=key).inc()
+                self.registry.counter(SELF_CPU_METRIC, method=key).inc(
+                    elapsed - child_cpu)
+                # charge the full elapsed time to the caller to subtract
+                if self._stack:
+                    self._stack[-1][1] += elapsed
 
-    def end(self, key: str, token: float) -> None:
-        elapsed = time.thread_time() - token
-        _key, child_cpu = self._stack.pop()
-        self.registry.counter(CALLS_METRIC, method=key).inc()
-        self.registry.counter(SELF_CPU_METRIC, method=key).inc(
-            elapsed - child_cpu)
-        # charge the full elapsed time to the caller so it can subtract
-        if self._stack:
-            self._stack[-1][1] += elapsed
+        return call
 
     # -- views over the registry -------------------------------------------
     @property
@@ -154,7 +157,7 @@ def instrument(framework: Framework,
             if isinstance(port, TracingPortProxy):
                 continue  # already instrumented
             label = f"{name}:{port_name}"
-            proxy = TracingPortProxy(port, label, recorder=profiler)
+            proxy = TracingPortProxy(port, label, (profiler,))
             services.provides[port_name] = (proxy, ptype)
     # existing connections still hold raw port objects: swap them
     for (user, uses_port), (provider, provides_port) in \

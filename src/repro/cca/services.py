@@ -10,11 +10,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.cca.port import Port
-from repro.cca.portproxy import TracingPortProxy
+from repro.cca.portproxy import wrap
 from repro.errors import CCAError, PortNotConnectedError, PortTypeError
-from repro.mpi import sanitizer as _tsan
-from repro.obs import trace as _trace
-from repro.resilience import faults as _faults
+from repro.obs import intercept as _intercept
 from repro.util.options import Options
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -75,23 +73,17 @@ class Services:
                 f"connected") from None
         self._checked_out[port_name] = \
             self._checked_out.get(port_name, 0) + 1
-        wired = self._framework._connections.get(
-            (self.instance_name, port_name))
-        label = (f"{wired[0]}:{wired[1]}" if wired
-                 else f"{self.instance_name}:{port_name}")
-        # While fault injection is armed, wrap ports whose label the plan
-        # targets — the disabled cost is this flag check.
-        if _faults.on and _faults.wraps_label(label):
-            port = _faults.FaultPortProxy(port, label)
-        # While the race sanitizer is armed, record calls against the
-        # provider port's identity (catches instances shared across
-        # rank-threads) — the disabled cost is this flag check.
-        if _tsan.on and not isinstance(port, _tsan.SanitizerPortProxy):
-            port = _tsan.SanitizerPortProxy(port, label)
-        # While tracing is on, hand out a span-emitting proxy labelled by
-        # the *providing* side — the disabled cost is this flag check.
-        if _trace.on and not isinstance(port, TracingPortProxy):
-            return TracingPortProxy(port, label)
+        # While the interceptor chain is armed, hand out one proxy
+        # labelled by the *providing* side, running every subscriber that
+        # claims that label — the disabled cost is this flag check.
+        if _intercept.armed:
+            wired = self._framework._connections.get(
+                (self.instance_name, port_name))
+            label = (f"{wired[0]}:{wired[1]}" if wired
+                     else f"{self.instance_name}:{port_name}")
+            claiming = _intercept.claiming(label)
+            if claiming:
+                return wrap(port, label, claiming)
         return port
 
     def release_port(self, port_name: str) -> None:

@@ -12,8 +12,8 @@ violate).  The pieces:
   through shared-memory segments with a zero-copy receive.
 * **Communicator** — :class:`MPComm` mirrors
   :class:`repro.mpi.comm.Comm` method-for-method (p2p, probes,
-  requests, split/dup, virtual clocks, fault hooks); the collective
-  front-ends come from the same
+  requests, split, interceptor hooks); the clock helpers, ``irecv``,
+  ``dup`` and the collective front-ends come from the same
   :class:`~repro.mpi.collectives.CollectiveMixin`, driven here by a
   gather-to-local-root / broadcast-result rendezvous.  Because the
   ``finish`` reduction runs exactly once (on comm rank 0, in sorted
@@ -62,6 +62,7 @@ from repro.mpi.comm import (ANY_SOURCE, ANY_TAG, Comm, Request, Status,
                             _Message, _RankState)
 from repro.mpi.perfmodel import MachineModel, LOCALHOST
 from repro.mpi import sanitizer as _tsan
+from repro.obs import intercept as _intercept
 from repro.obs import profiler as _profiler
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_registry as _obs_registry
@@ -84,8 +85,8 @@ class _Station:
     Envelope kinds on an inbox (all payloads via
     :func:`~repro.exec.shm.encode_message`):
 
-    * ``("p2p", comm_id, (source, tag, nbytes, avail_time, serial),
-      env)`` — env decodes to the payload;
+    * ``("p2p", comm_id, (source, tag, nbytes, avail_time), env)`` —
+      env decodes to the payload;
     * ``("coll", comm_id, seq, env)`` — a member's contribution to the
       comm's local root; decodes to ``(rank, contribution, clock)``;
     * ``("collr", comm_id, seq, env)`` — the root's result broadcast;
@@ -105,15 +106,10 @@ class _Station:
         self._p2p: dict[str, list[_Message]] = {}
         self._coll: dict[tuple[str, int], dict[int, tuple[Any, float]]] = {}
         self._collr: dict[tuple[str, int], tuple[Any, float]] = {}
-        self._send_serial = 0
 
     def check_alive(self) -> None:
         if self.abort.is_set():
             raise CommAbortedError("world aborted by a peer rank")
-
-    def next_serial(self) -> int:
-        self._send_serial += 1
-        return self._send_serial
 
     def post(self, dest_global: int, item: tuple) -> None:
         self.inboxes[dest_global].put(item)
@@ -137,10 +133,10 @@ class _Station:
         kind = item[0]
         if kind == "p2p":
             _, cid, header, env = item
-            source, tag, nbytes, avail, serial = header
+            source, tag, nbytes, avail = header
             payload = _shm.decode_message(env)
             self._p2p.setdefault(cid, []).append(
-                _Message(source, tag, payload, nbytes, avail, serial))
+                _Message(source, tag, payload, nbytes, avail))
         elif kind == "coll":
             _, cid, seq, env = item
             rank, contribution, clock = _shm.decode_message(env)
@@ -153,44 +149,34 @@ class _Station:
             raise MPIError(f"unknown mp envelope kind {kind!r}")
 
     # -- waits (all poll the abort flag) ----------------------------------
-    def wait_p2p(self, cid: str, source: int, tag: int) -> _Message:
-        while True:
-            msg = Comm._match(self._p2p.get(cid, []), source, tag,
-                              remove=True)
-            if msg is not None:
-                return msg
+    def _until(self, found: Callable[[], Any]) -> Any:
+        """Pump the inbox until ``found()`` returns something."""
+        while (hit := found()) is None:
             self.check_alive()
             self._pump(_POLL_INTERVAL)
+        return hit
+
+    def wait_p2p(self, cid: str, source: int, tag: int) -> _Message:
+        return self._until(lambda: Comm._match(
+            self._p2p.get(cid, []), source, tag, remove=True))
 
     def peek_p2p(self, cid: str, source: int, tag: int,
                  block: bool) -> _Message | None:
-        while True:
-            msg = Comm._match(self._p2p.get(cid, []), source, tag,
-                              remove=False)
-            if msg is not None or not block:
-                return msg
-            self.check_alive()
-            self._pump(_POLL_INTERVAL)
+        def peek():
+            return Comm._match(self._p2p.get(cid, []), source, tag,
+                               remove=False)
+
+        return self._until(peek) if block else peek()
 
     def wait_contribs(self, cid: str, seq: int,
                       expected: int) -> dict[int, tuple[Any, float]]:
         """Block until ``expected`` non-root contributions arrived."""
         key = (cid, seq)
-        while True:
-            got = self._coll.get(key, {})
-            if len(got) >= expected:
-                self._coll.pop(key, None)
-                return got
-            self.check_alive()
-            self._pump(_POLL_INTERVAL)
+        self._until(lambda: len(self._coll.get(key, {})) >= expected or None)
+        return self._coll.pop(key, {})
 
     def wait_result(self, cid: str, seq: int) -> tuple[Any, float]:
-        key = (cid, seq)
-        while True:
-            if key in self._collr:
-                return self._collr.pop(key)
-            self.check_alive()
-            self._pump(_POLL_INTERVAL)
+        return self._until(lambda: self._collr.pop((cid, seq), None))
 
 
 class MPComm(CollectiveMixin):
@@ -224,25 +210,6 @@ class MPComm(CollectiveMixin):
     def check_alive(self) -> None:
         self._station.check_alive()
 
-    # -- virtual time -----------------------------------------------------
-    def _sync(self) -> None:
-        self._state.sync_compute(self._station.machine)
-
-    @property
-    def clock(self) -> float:
-        self._sync()
-        return self._state.clock
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise MPIError("cannot advance the clock backwards")
-        self._sync()
-        self._state.clock += seconds
-
-    def reset_clock(self) -> None:
-        self._sync()
-        self._state.clock = 0.0
-
     # -- point-to-point ---------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking buffered send."""
@@ -258,60 +225,39 @@ class MPComm(CollectiveMixin):
         if not (0 <= dest < self.size):
             raise MPIError(
                 f"send dest {dest} out of range for size {self.size}")
-        t0 = time.perf_counter() if _obs.on else 0.0
+        armed = _intercept.armed
+        t0 = time.perf_counter() if armed else 0.0
         self._sync()
         env, nbytes = _shm.encode_message(obj)
         machine = self._station.machine
         avail = self._state.clock + machine.p2p_time(nbytes)
-        if _faults.on:
-            fate = _faults.on_send(self.global_rank, dest, tag)
-            if fate is _faults.DROP:
-                self._state.clock += machine.send_overhead(nbytes)
+        self._state.clock += machine.send_overhead(nbytes)
+        if armed:
+            fate = _intercept.send(self, dest, tag, nbytes, t0)
+            if fate is None:
                 _shm.discard_message(env)  # nobody will ever attach it
                 return
-            avail += fate
-        header = (self.rank, tag, nbytes, avail,
-                  self._station.next_serial())
-        self._state.clock += machine.send_overhead(nbytes)
+            avail += fate.delay
+        header = (self.rank, tag, nbytes, avail)
         self._station.post(self._members[dest],
                            ("p2p", self.id, header, env))
-        if _obs.on:
-            _obs.complete("mpi.send", "mpi", t0, dest=dest, tag=tag,
-                          nbytes=nbytes, vt=self._state.clock)
-            reg = _obs_registry()
-            reg.counter("mpi.sends", rank=self.global_rank).inc()
-            reg.counter("mpi.bytes_sent", rank=self.global_rank).inc(nbytes)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              status: Status | None = None) -> Any:
         """Blocking receive; wildcards ``ANY_SOURCE`` / ``ANY_TAG``."""
-        t0 = time.perf_counter() if _obs.on else 0.0
+        armed = _intercept.armed
+        t0 = time.perf_counter() if armed else 0.0
         self._sync()
         vt_in = self._state.clock
         msg = self._station.wait_p2p(self.id, source, tag)
         self._state.clock = max(self._state.clock, msg.avail_time)
-        if _obs.on:
-            _obs.complete("mpi.recv", "mpi", t0, source=msg.source,
-                          tag=msg.tag, nbytes=msg.nbytes,
-                          vt=self._state.clock,
-                          vt_wait=self._state.clock - vt_in)
-            reg = _obs_registry()
-            reg.counter("mpi.recvs", rank=self.global_rank).inc()
-            reg.histogram("mpi.recv_wait_seconds",
-                          rank=self.global_rank).observe(
-                time.perf_counter() - t0)
+        if armed:
+            _intercept.recv(self, msg, t0, vt_in)
         if status is not None:
             status.source = msg.source
             status.tag = msg.tag
             status.nbytes = msg.nbytes
         return msg.payload
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; ``wait()`` returns the payload."""
-        return Request(
-            lambda: self.recv(source, tag),
-            lambda: self.iprobe(source, tag),
-        )
 
     def sendrecv(self, sendobj: Any, dest: int, sendtag: int = 0,
                  source: int = ANY_SOURCE, recvtag: int = ANY_TAG,
@@ -341,7 +287,8 @@ class MPComm(CollectiveMixin):
         ``finish`` exactly once and broadcasts ``(result, exit_clock)``.
         Same contract as the threads rendezvous: everyone leaves at
         ``max(entry clocks) + comm_cost`` holding the shared result."""
-        t0 = time.perf_counter() if _obs.on else 0.0
+        armed = _intercept.armed
+        t0 = time.perf_counter() if armed else 0.0
         self._sync()
         self._coll_seq += 1
         seq = self._coll_seq
@@ -367,11 +314,8 @@ class MPComm(CollectiveMixin):
             station.post(self._members[0], ("coll", self.id, seq, wire))
             result, exit_clock = station.wait_result(self.id, seq)
         self._state.clock = max(self._state.clock, exit_clock)
-        if _obs.on:
-            _obs.complete(f"mpi.{label}", "mpi", t0, size=self.size,
-                          vt=self._state.clock)
-            _obs_registry().counter("mpi.collectives", op=label,
-                                    rank=self.global_rank).inc()
+        if armed:
+            _intercept.coll_depart(self, None, label, t0)
         return result
 
     # barrier/bcast/reduce/allreduce/gather/allgather/scatter/alltoall
@@ -396,10 +340,6 @@ class MPComm(CollectiveMixin):
                        self.global_rank, members)
         child._state = self._state  # one clock per rank, as on threads
         return child
-
-    def dup(self) -> "MPComm":
-        """Duplicate this communicator (fresh message/collective space)."""
-        return self.split(color=0, key=self.rank)
 
     def abort(self, reason: str = "user abort") -> None:
         """Abort the whole world."""
@@ -501,8 +441,9 @@ def _worker(rank: int, nprocs: int, machine: MachineModel,
             trace_ctx: dict | None = None) -> None:
     """Worker-process body for one rank (post-fork)."""
     # The sanitizer's shadow state is meaningless here: this process IS
-    # the private address space.  Disarm locally (fork-isolated write).
-    _tsan.on = False
+    # the private address space.  Disarm locally (fork-isolated), which
+    # also takes it off this worker's interceptor chain.
+    _tsan.deactivate()
     _child_obs_setup(trace_ctx)
     # SAMR patch arrays go into shared segments for this rank's lifetime.
     from repro.samr import dataobject as _dobj

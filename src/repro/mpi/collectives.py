@@ -8,6 +8,8 @@ them once, against a minimal contract the transport must provide:
 * ``self.rank`` / ``self.size`` — this member's position in the comm;
 * ``self.machine`` — the :class:`~repro.mpi.perfmodel.MachineModel`
   charging communication costs;
+* ``self._state`` (the rank's virtual clock), ``recv``, ``iprobe`` and
+  ``split`` — behind the shared clock, ``irecv`` and ``dup`` helpers;
 * ``self._collective(contribution, finish, label)`` — the rendezvous
   primitive: every member contributes, ``finish(contribs) -> (result,
   comm_cost)`` runs exactly once somewhere, every member leaves at
@@ -27,11 +29,52 @@ from typing import Any
 
 from repro.errors import MPIError
 
+ANY_SOURCE = -1
+ANY_TAG = -1
+
 
 class CollectiveMixin:
     """Transport-independent MPI-1 collectives (see module docstring)."""
 
-    # the transport provides: rank, size, machine, _collective(...)
+    # the transport provides: rank, size, machine, _state, _collective(...)
+
+    # -- virtual time --------------------------------------------------------
+    def _sync(self) -> None:
+        self._state.sync_compute(self.machine)
+
+    @property
+    def clock(self) -> float:
+        """The rank's current virtual time, compute charged up to now."""
+        self._sync()
+        return self._state.clock
+
+    def advance(self, seconds: float) -> None:
+        """Manually charge virtual seconds (perf-model-only workloads)."""
+        if seconds < 0:
+            raise MPIError("cannot advance the clock backwards")
+        self._sync()
+        self._state.clock += seconds
+
+    def reset_clock(self) -> None:
+        """Zero this rank's virtual clock (bench warm-up boundary)."""
+        self._sync()
+        self._state.clock = 0.0
+
+    # -- helpers over the transport's own methods ----------------------------
+    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+        """Non-blocking receive; ``wait()`` returns the payload."""
+        from repro.mpi.comm import Request
+
+        return Request(
+            lambda: self.recv(source, tag),
+            lambda: self.iprobe(source, tag),
+        )
+
+    def dup(self):
+        """Duplicate this communicator (fresh message/collective space)."""
+        return self.split(color=0, key=self.rank)
+
+    # -- collectives ---------------------------------------------------------
 
     def barrier(self) -> None:
         """Synchronize all members."""

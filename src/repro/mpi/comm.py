@@ -23,6 +23,12 @@ paper's scaling studies (§5.2) on one core.
 Threading rules: a ``Comm`` must only be used from the thread that owns its
 rank.  All blocking waits poll with a short timeout so a crashed peer
 aborts the whole world instead of deadlocking it.
+
+Interception: the send, recv and collective paths read
+``intercept.armed`` once and, while it is set, run the
+:mod:`repro.obs.intercept` hooks, where fault injection (drop/delay),
+the race sanitizer (vector clocks on :attr:`_Message.vc` and the
+collective slot) and tracing (``mpi.*`` spans and counters) subscribe.
 """
 
 from __future__ import annotations
@@ -37,15 +43,9 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.errors import CommAbortedError, MPIError
-from repro.mpi.collectives import CollectiveMixin
+from repro.mpi.collectives import ANY_SOURCE, ANY_TAG, CollectiveMixin
 from repro.mpi.perfmodel import MachineModel, LOCALHOST
-from repro.obs import trace as _obs
-from repro.obs.metrics import get_registry as _obs_registry
-from repro.mpi import sanitizer as _tsan
-from repro.resilience import faults as _faults
-
-ANY_SOURCE = -1
-ANY_TAG = -1
+from repro.obs import intercept as _intercept
 
 _POLL_INTERVAL = 0.05
 
@@ -110,7 +110,6 @@ class _Message:
     payload: Any
     nbytes: int
     avail_time: float
-    serial: int
     #: sender's vector-clock snapshot while the sanitizer is armed
     vc: list[int] | None = None
 
@@ -160,7 +159,6 @@ class World:
         self._slots: dict[tuple[int, int], _CollSlot] = {}
         self._comm_sizes: dict[int, int] = {0: size}
         self._next_comm_id = 1
-        self._send_serial = 0
         self.rank_states = [_RankState() for _ in range(size)]
 
     # -- plumbing ------------------------------------------------------------
@@ -189,11 +187,6 @@ class World:
             self._next_comm_id += 1
             self._comm_sizes[cid] = size
             return cid
-
-    def next_serial(self) -> int:
-        with self._lock:
-            self._send_serial += 1
-            return self._send_serial
 
     def abort(self, reason: str) -> None:
         """Kill the world: every blocked rank raises CommAbortedError."""
@@ -244,7 +237,8 @@ class Comm(CollectiveMixin):
     The default communicator (``comm_id == 0``) is the world communicator
     handed to the SCMD program by :func:`repro.mpi.launcher.mpirun`;
     :meth:`split` and :meth:`dup` derive scoped communicators (the paper's
-    component *cohorts*).  The collective front-ends come from
+    component *cohorts*).  The collective front-ends and the clock,
+    ``irecv`` and ``dup`` helpers come from
     :class:`~repro.mpi.collectives.CollectiveMixin`; this class provides
     the in-process condition-variable rendezvous behind them.
     """
@@ -264,28 +258,6 @@ class Comm(CollectiveMixin):
         """The machine model charging this comm's communication costs."""
         return self.world.machine
 
-    # -- virtual time ----------------------------------------------------------
-    def _sync(self) -> None:
-        self._state.sync_compute(self.world.machine)
-
-    @property
-    def clock(self) -> float:
-        """The rank's current virtual time, compute charged up to now."""
-        self._sync()
-        return self._state.clock
-
-    def advance(self, seconds: float) -> None:
-        """Manually charge virtual seconds (perf-model-only workloads)."""
-        if seconds < 0:
-            raise MPIError("cannot advance the clock backwards")
-        self._sync()
-        self._state.clock += seconds
-
-    def reset_clock(self) -> None:
-        """Zero this rank's virtual clock (bench warm-up boundary)."""
-        self._sync()
-        self._state.clock = 0.0
-
     # -- point-to-point ----------------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking buffered send."""
@@ -300,40 +272,33 @@ class Comm(CollectiveMixin):
         self.world.check_alive()
         if not (0 <= dest < self.size):
             raise MPIError(f"send dest {dest} out of range for size {self.size}")
-        t0 = time.perf_counter() if _obs.on else 0.0
+        armed = _intercept.armed
+        t0 = time.perf_counter() if armed else 0.0
         self._sync()
         payload, nbytes = _isolate(obj)
         machine = self.world.machine
         avail = self._state.clock + machine.p2p_time(nbytes)
-        # Fault injection (off by default; the disabled cost is this flag
-        # check): a send may be silently dropped or its flight delayed.
-        if _faults.on:
-            fate = _faults.on_send(self.global_rank, dest, tag)
-            if fate is _faults.DROP:
-                self._state.clock += machine.send_overhead(nbytes)
-                return
-            avail += fate
-        # While the sanitizer is armed, the sender's vector-clock snapshot
-        # rides the message — the disabled cost is this flag check.
-        vc = _tsan.on_send(self.global_rank) if _tsan.on else None
-        msg = _Message(self.rank, tag, payload, nbytes, avail,
-                       self.world.next_serial(), vc)
         self._state.clock += machine.send_overhead(nbytes)
+        vc = None
+        if armed:
+            # a fault may drop the send or delay its flight; the
+            # sanitizer's clock snapshot rides the message
+            fate = _intercept.send(self, dest, tag, nbytes, t0)
+            if fate is None:
+                return
+            avail += fate.delay
+            vc = fate.vc
+        msg = _Message(self.rank, tag, payload, nbytes, avail, vc)
         box, cond = self.world.box(self.id, dest)
         with cond:
             box.append(msg)
             cond.notify_all()
-        if _obs.on:
-            _obs.complete("mpi.send", "mpi", t0, dest=dest, tag=tag,
-                          nbytes=nbytes, vt=self._state.clock)
-            reg = _obs_registry()
-            reg.counter("mpi.sends", rank=self.global_rank).inc()
-            reg.counter("mpi.bytes_sent", rank=self.global_rank).inc(nbytes)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              status: Status | None = None) -> Any:
         """Blocking receive; wildcards ``ANY_SOURCE`` / ``ANY_TAG``."""
-        t0 = time.perf_counter() if _obs.on else 0.0
+        armed = _intercept.armed
+        t0 = time.perf_counter() if armed else 0.0
         self._sync()
         vt_in = self._state.clock
         box, cond = self.world.box(self.id, self.rank)
@@ -345,30 +310,13 @@ class Comm(CollectiveMixin):
                     break
                 cond.wait(timeout=_POLL_INTERVAL)
         self._state.clock = max(self._state.clock, msg.avail_time)
-        if _tsan.on:
-            _tsan.on_recv(self.global_rank, msg.vc, msg.source)
-        if _obs.on:
-            _obs.complete("mpi.recv", "mpi", t0, source=msg.source,
-                          tag=msg.tag, nbytes=msg.nbytes,
-                          vt=self._state.clock,
-                          vt_wait=self._state.clock - vt_in)
-            reg = _obs_registry()
-            reg.counter("mpi.recvs", rank=self.global_rank).inc()
-            reg.histogram("mpi.recv_wait_seconds",
-                          rank=self.global_rank).observe(
-                time.perf_counter() - t0)
+        if armed:
+            _intercept.recv(self, msg, t0, vt_in)
         if status is not None:
             status.source = msg.source
             status.tag = msg.tag
             status.nbytes = msg.nbytes
         return msg.payload
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; ``wait()`` returns the payload."""
-        return Request(
-            lambda: self.recv(source, tag),
-            lambda: self.iprobe(source, tag),
-        )
 
     def sendrecv(self, sendobj: Any, dest: int, sendtag: int = 0,
                  source: int = ANY_SOURCE, recvtag: int = ANY_TAG,
@@ -411,7 +359,8 @@ class Comm(CollectiveMixin):
         """Generic rendezvous: every member contributes, the last arrival
         runs ``finish(contribs) -> (result, comm_cost)``, everyone leaves at
         ``max(entry clocks) + comm_cost`` with the shared result."""
-        t0 = time.perf_counter() if _obs.on else 0.0
+        armed = _intercept.armed
+        t0 = time.perf_counter() if armed else 0.0
         self._sync()
         self._coll_seq += 1
         slot = self.world.slot(self.id, self._coll_seq)
@@ -420,9 +369,9 @@ class Comm(CollectiveMixin):
                 raise MPIError("collective re-entered by the same rank")
             slot.entries[self.rank] = (contribution, self._state.clock)
             # Same critical section as the contribution insert: every
-            # rank's clock is on the slot before done flips.
-            if _tsan.on:
-                _tsan.coll_arrive(slot, self.global_rank)
+            # rank's sanitizer clock is on the slot before done flips.
+            if armed:
+                _intercept.coll_arrive(self, slot)
             if len(slot.entries) == slot.size:
                 contribs = {r: p for r, (p, _) in slot.entries.items()}
                 entry_max = max(c for _, c in slot.entries.values())
@@ -439,13 +388,8 @@ class Comm(CollectiveMixin):
             if slot.read == slot.size:
                 self.world.drop_slot(self.id, self._coll_seq)
         self._state.clock = max(self._state.clock, slot.exit_clock)
-        if _tsan.on:
-            _tsan.coll_depart(slot, self.global_rank, label)
-        if _obs.on:
-            _obs.complete(f"mpi.{label}", "mpi", t0, size=self.size,
-                          vt=self._state.clock)
-            _obs_registry().counter("mpi.collectives", op=label,
-                                    rank=self.global_rank).inc()
+        if armed:
+            _intercept.coll_depart(self, slot, label, t0)
         return slot.result
 
     # barrier/bcast/reduce/allreduce/gather/allgather/scatter/alltoall are
@@ -470,10 +414,6 @@ class Comm(CollectiveMixin):
         ids = self.allgather((color, cid))
         new_id = max(i for (c, i) in ids if c == color)
         return Comm(self.world, new_id, new_rank, new_size, self.global_rank)
-
-    def dup(self) -> "Comm":
-        """Duplicate this communicator (fresh message/collective space)."""
-        return self.split(color=0, key=self.rank)
 
     def abort(self, reason: str = "user abort") -> None:
         """Abort the whole world."""

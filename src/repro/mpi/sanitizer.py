@@ -12,10 +12,11 @@ happens-before edge between them raise :class:`~repro.errors.DataRaceError`
 with a precise report: both ranks, both stacks, the object's identity,
 and each rank's last ordering collective.
 
-Cost model (mirrors :mod:`repro.resilience.faults` and
-:mod:`repro.obs.trace`): every hook on a hot path is guarded by the
-module attribute ``on`` — the *disabled* cost is exactly one flag check,
-asserted by ``benchmarks/bench_sanitizer_overhead.py``.
+Cost model: :func:`configure` subscribes the sanitizer to the
+:mod:`repro.obs.intercept` chain, so the port and message paths pay one
+``intercept.armed`` check while nothing is subscribed.  The shadow
+containers and the samr write hooks guard on this module's own ``on``
+flag.  ``benchmarks/bench_sanitizer_overhead.py`` bounds the cost.
 
 Happens-before edges
 --------------------
@@ -36,11 +37,12 @@ What gets shadowed
 * **Patch arrays**: :meth:`repro.samr.dataobject.DataObject.array`
   records an access keyed by the backing ndarray — per-rank storage
   never conflicts, a DataObject leaked across ranks does.
-* **Port calls through a shared component**: armed
-  :meth:`repro.cca.services.Services.get_port` hands out a
-  :class:`SanitizerPortProxy` that records each call against the
-  provider port's identity; per-rank frameworks produce distinct ports,
-  so only genuinely shared instances collide.
+* **Port calls through a shared component**: while a world is live,
+  the sanitizer claims every port label, so armed
+  :meth:`repro.cca.services.Services.get_port` hands out a proxy whose
+  calls record a write against the provider port's identity (inside the
+  trace span, before the fault check).  Per-rank frameworks produce
+  distinct ports, so only genuinely shared instances collide.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ import traceback
 from typing import Any
 
 from repro.errors import DataRaceError
+from repro.obs import intercept as _intercept
 from repro.util import logging as rlog
 
-#: Master switch.  Hot paths read this module attribute directly
-#: (``if sanitizer.on:``) — the disabled cost is this one check.
+#: Master switch: True exactly while the sanitizer is subscribed.  The
+#: shadow containers read this module attribute directly.
 on: bool = False
 
 _state: "_RunState | None" = None
@@ -132,6 +135,7 @@ def configure() -> None:
     global on
     with _lock:
         on = True
+    _intercept.subscribe(_SANITIZER)
 
 
 def deactivate() -> None:
@@ -139,6 +143,7 @@ def deactivate() -> None:
     with _lock:
         on = False
         _state = None
+    _intercept.unsubscribe(_SANITIZER)
 
 
 def active() -> bool:
@@ -171,7 +176,7 @@ def _rank() -> int | None:
     return rank
 
 
-# ----------------------------------------------------------- comm.py hooks
+# ------------------------------------------------- message-passing hooks
 def on_send(global_rank: int) -> list[int] | None:
     """Pre-send (a *release*): snapshot the sender's clock for the
     message, then tick — accesses after the send sit in a fresh epoch no
@@ -248,38 +253,6 @@ class ShadowDict(dict):
         super().__init__(*args, **kw)
         self._tsan_key = key
 
-    def _w(self) -> None:
-        if on:
-            record_write(self._tsan_key)
-
-    def __setitem__(self, k, v):
-        self._w()
-        super().__setitem__(k, v)
-
-    def __delitem__(self, k):
-        self._w()
-        super().__delitem__(k)
-
-    def update(self, *a, **kw):
-        self._w()
-        super().update(*a, **kw)
-
-    def setdefault(self, k, default=None):
-        self._w()
-        return super().setdefault(k, default)
-
-    def pop(self, *a):
-        self._w()
-        return super().pop(*a)
-
-    def popitem(self):
-        self._w()
-        return super().popitem()
-
-    def clear(self):
-        self._w()
-        super().clear()
-
 
 class ShadowList(list):
     """list whose mutators record a sanitized write."""
@@ -289,54 +262,6 @@ class ShadowList(list):
     def __init__(self, *args: Any, key: str = "<list>") -> None:
         super().__init__(*args)
         self._tsan_key = key
-
-    def _w(self) -> None:
-        if on:
-            record_write(self._tsan_key)
-
-    def __setitem__(self, i, v):
-        self._w()
-        super().__setitem__(i, v)
-
-    def __delitem__(self, i):
-        self._w()
-        super().__delitem__(i)
-
-    def __iadd__(self, other):
-        self._w()
-        return super().__iadd__(other)
-
-    def append(self, v):
-        self._w()
-        super().append(v)
-
-    def extend(self, it):
-        self._w()
-        super().extend(it)
-
-    def insert(self, i, v):
-        self._w()
-        super().insert(i, v)
-
-    def pop(self, i=-1):
-        self._w()
-        return super().pop(i)
-
-    def remove(self, v):
-        self._w()
-        super().remove(v)
-
-    def clear(self):
-        self._w()
-        super().clear()
-
-    def sort(self, **kw):
-        self._w()
-        super().sort(**kw)
-
-    def reverse(self):
-        self._w()
-        super().reverse()
 
 
 class ShadowSet(set):
@@ -348,34 +273,28 @@ class ShadowSet(set):
         super().__init__(*args)
         self._tsan_key = key
 
-    def _w(self) -> None:
+
+def _recording(inner: Any) -> Any:
+    """``inner`` (a base-class mutator) recording a write first."""
+
+    def mutator(self, *args: Any, **kwargs: Any) -> Any:
         if on:
             record_write(self._tsan_key)
+        return inner(self, *args, **kwargs)
 
-    def add(self, v):
-        self._w()
-        super().add(v)
+    mutator.__name__ = inner.__name__
+    return mutator
 
-    def update(self, *a):
-        self._w()
-        super().update(*a)
 
-    def discard(self, v):
-        self._w()
-        super().discard(v)
-
-    def remove(self, v):
-        self._w()
-        super().remove(v)
-
-    def pop(self):
-        self._w()
-        return super().pop()
-
-    def clear(self):
-        self._w()
-        super().clear()
-
+for _shadow, _mutators in (
+        (ShadowDict, "__setitem__ __delitem__ update setdefault pop popitem "
+                     "clear"),
+        (ShadowList, "__setitem__ __delitem__ __iadd__ append extend insert "
+                     "pop remove clear sort reverse"),
+        (ShadowSet, "add update discard remove pop clear")):
+    for _name in _mutators.split():
+        setattr(_shadow, _name,
+                _recording(getattr(_shadow.__bases__[0], _name)))
 
 _SHADOW_TYPES = {dict: ShadowDict, list: ShadowList, set: ShadowSet}
 
@@ -393,37 +312,41 @@ def instrument_class(cls: type) -> None:
         setattr(cls, name, shadow(value, key=key))
 
 
-# ------------------------------------------------------------- port proxy
-class SanitizerPortProxy:
-    """Forwarding proxy recording calls against the provider port's
-    identity — two rank-threads calling through the *same* port object
-    means the component instance itself is shared across ranks."""
+# ----------------------------------------------------- chain subscriber
+class _Sanitizer(_intercept.Interceptor):
+    """Vector clocks through the message paths; port calls recorded
+    against the provider port's identity (a port shared across ranks)."""
 
-    def __init__(self, target: Any, label: str) -> None:
-        object.__setattr__(self, "_target", target)
-        object.__setattr__(self, "_label", label)
+    order = 1
 
-    def __getattr__(self, name: str) -> Any:
-        target = object.__getattribute__(self, "_target")
-        value = getattr(target, name)
-        if not callable(value):
-            return value
-        label = object.__getattribute__(self, "_label")
-        # the access key is fixed per (port, method): build it once here,
-        # and cache the wrapper on the proxy so repeated lookups (one per
-        # RHS evaluation on the Table 4 hot path) skip __getattr__
-        key = f"port {label}.{name}() [instance id 0x{id(target):x}]"
+    def claims(self, label: str) -> bool:
+        return _state is not None   # nothing to record outside a world
 
-        def wrapped(*args: Any, **kwargs: Any) -> Any:
+    def port_call(self, key, target, fn):
+        # the access key is fixed per (port, method): build it once here
+        access = f"port {key}() [instance id 0x{id(target):x}]"
+
+        def call(*args: Any, **kwargs: Any) -> Any:
             if on:
-                record_write(key)
-            return value(*args, **kwargs)
+                record_write(access)
+            return fn(*args, **kwargs)
 
-        object.__setattr__(self, name, wrapped)
-        return wrapped
+        return call
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        setattr(object.__getattribute__(self, "_target"), name, value)
+    def send(self, comm, dest, tag, nbytes, t0, fate):
+        fate.vc = on_send(comm.global_rank)
+
+    def recv(self, comm, msg, t0, vt_in):
+        on_recv(comm.global_rank, msg.vc, msg.source)
+
+    def coll_arrive(self, comm, slot):
+        coll_arrive(slot, comm.global_rank)
+
+    def coll_depart(self, comm, slot, label, t0):
+        coll_depart(slot, comm.global_rank, label)
+
+
+_SANITIZER = _Sanitizer()
 
 
 def _activate_from_env() -> None:

@@ -23,10 +23,11 @@ infrastructure.  Three pieces:
   (``python -m repro.obs.regress``) over the repo-root
   ``BENCH_<name>.json`` trajectories that every bench run appends to.
 
-Instrumentation hooks live in the layers themselves (CCA port calls, MPI
-sends/recvs/collectives, SAMR regrid/ghost-exchange/load-balance,
-integrator steps) and are guarded by a single flag check, so the
-disabled cost is negligible (verified by the Table 4 overhead bench).
+CCA port calls and MPI sends/recvs/collectives reach the tracer through
+the :mod:`repro.obs.intercept` chain it shares with the race sanitizer
+and fault injection; the other hooks (SAMR regrid/ghost-exchange/
+load-balance, integrator steps) live in their layers.  Either way the
+disabled cost is one flag check (verified by the Table 4 overhead bench).
 
 Usage — no application changes needed::
 

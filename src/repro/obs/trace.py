@@ -18,8 +18,10 @@ Design constraints (ISSUE 2 / paper §6 future-work item on TAU):
   rank's *virtual* clock (:mod:`repro.mpi.comm`) attach it as a ``vt``
   span argument.
 
-The module is deliberately framework-agnostic: it knows nothing about
-components, communicators, or meshes.  Those layers call in.
+The module knows nothing about components, communicators, or meshes.
+Those layers call in, and port calls and message passing reach it
+through the :mod:`repro.obs.intercept` chain, to which :func:`start`
+subscribes :data:`TRACING` (port spans, ``mpi.*`` spans and counters).
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterable, NamedTuple
 
+from repro.obs import intercept as _intercept
+from repro.obs.metrics import get_registry as _registry
 from repro.util.logging import get_rank
 
 #: Master switch.  Hot paths read this module attribute directly
@@ -138,12 +142,14 @@ def start(clear: bool = True) -> None:
         _generation += 1
         _t0 = time.perf_counter()
     on = True
+    _intercept.subscribe(TRACING)
 
 
 def stop() -> None:
     """Disable tracing; collected events stay readable via :func:`events`."""
     global on
     on = False
+    _intercept.unsubscribe(TRACING)
 
 
 def enabled() -> bool:
@@ -354,3 +360,44 @@ def instant(name: str, cat: str = "app", **args: Any) -> None:
         "i", sanitize(name), cat, (time.perf_counter() - _t0) * 1e6, 0.0,
         get_rank(), threading.current_thread().name,
         _with_ctx(args or None)))
+
+
+# -- the interceptor-chain subscriber -----------------------------------------
+class _Tracing(_intercept.Interceptor):
+    """Port-call spans, plus the ``mpi`` spans and counters of both
+    communicators (``comm._state.clock`` is the rank's virtual clock)."""
+
+    def port_call(self, key, target, fn):
+        def call(*args, **kwargs):
+            if not on:
+                return fn(*args, **kwargs)
+            with Span(key, "port", {}):
+                return fn(*args, **kwargs)
+
+        return call
+
+    def send(self, comm, dest, tag, nbytes, t0, fate):
+        complete("mpi.send", "mpi", t0, dest=dest, tag=tag, nbytes=nbytes,
+                 vt=comm._state.clock)
+        reg = _registry()
+        reg.counter("mpi.sends", rank=comm.global_rank).inc()
+        reg.counter("mpi.bytes_sent", rank=comm.global_rank).inc(nbytes)
+
+    def recv(self, comm, msg, t0, vt_in):
+        vt = comm._state.clock
+        complete("mpi.recv", "mpi", t0, source=msg.source, tag=msg.tag,
+                 nbytes=msg.nbytes, vt=vt, vt_wait=vt - vt_in)
+        reg = _registry()
+        reg.counter("mpi.recvs", rank=comm.global_rank).inc()
+        reg.histogram("mpi.recv_wait_seconds",
+                      rank=comm.global_rank).observe(
+            time.perf_counter() - t0)
+
+    def coll_depart(self, comm, slot, label, t0):
+        complete(f"mpi.{label}", "mpi", t0, size=comm.size,
+                 vt=comm._state.clock)
+        _registry().counter("mpi.collectives", op=label,
+                            rank=comm.global_rank).inc()
+
+
+TRACING = _Tracing()

@@ -1,22 +1,25 @@
 """Deterministic, seeded fault injection — off by default.
 
-Chaos testing for the toolkit's long parallel runs: a single module flag
-(``faults.on``, mirroring :mod:`repro.obs.trace`) guards every hook, so
-the disabled cost on the hot paths (MPI sends, CCA port calls) is one
-module-attribute read.  When armed via :func:`configure`, a
-:class:`FaultPlan` describes exactly which failures to inject:
+Chaos testing for the toolkit's long parallel runs.  :func:`configure`
+arms a :class:`FaultPlan` describing exactly which failures to inject,
+and subscribes the injector to the :mod:`repro.obs.intercept` chain, so
+the disabled cost on the MPI send and CCA port-call paths is that
+chain's one ``armed`` check:
 
 * **rank-kill at step k** — the driver step-loop hook
   (:meth:`repro.resilience.hooks.CheckpointHook.after_step`) calls
-  :func:`step_hook`, which raises :class:`~repro.errors.InjectedFault`
-  on the configured ``(rank, step)``;
-* **message drop / delay** — :meth:`repro.mpi.comm.Comm.send` consults
-  :func:`on_send`; drops are counted and the message silently discarded,
-  delays inflate the virtual-time flight cost;
-* **exception injection in a named component method** —
-  :meth:`repro.cca.services.Services.get_port` wraps the matching
-  provider port in a :class:`FaultPortProxy` that raises on the
-  configured N-th call of the named method.
+  :func:`step_hook` under this module's own ``faults.on`` flag, which
+  raises :class:`~repro.errors.InjectedFault` on the configured
+  ``(rank, step)``;
+* **message drop / delay** — the chain's ``send`` hook consults
+  :func:`on_send` before either communicator posts a message; drops are
+  counted and the message silently discarded, delays inflate the
+  virtual-time flight cost;
+* **exception injection in a named component method** — the injector
+  claims only the provider port the plan targets, and the one port
+  proxy :meth:`repro.cca.services.Services.get_port` hands out raises on
+  the configured N-th call of the named method (innermost in the chain,
+  right before the call).
 
 Every decision is a pure function of ``(seed, event identity, event
 counter)``, so the same plan against the same program injects the same
@@ -30,9 +33,10 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.errors import InjectedFault
+from repro.obs import intercept as _intercept
 
-#: Master switch.  Hot paths read this module attribute directly
-#: (``if faults.on:``); it is True exactly while a plan is configured.
+#: Master switch: True exactly while a plan is configured.  The driver
+#: step hook reads this module attribute directly (``if faults.on:``).
 on: bool = False
 
 _lock = threading.Lock()
@@ -58,7 +62,7 @@ class FaultPlan:
     #: probability that any one send is delayed
     delay_prob: float = 0.0
     #: inject into this port call: ``"Provider:port.method"`` (the
-    #: TracingPortProxy label convention), "" = no method injection
+    #: port-proxy label convention), "" = no method injection
     inject_method: str = ""
     #: raise on the N-th matching call (1-based)
     inject_call: int = 1
@@ -91,6 +95,7 @@ def configure(plan: FaultPlan) -> None:
         _plan = plan
         _counters = _Counters()
         on = True
+    _intercept.subscribe(_INJECTOR)
 
 
 def deactivate() -> None:
@@ -99,6 +104,7 @@ def deactivate() -> None:
     with _lock:
         on = False
         _plan = None
+    _intercept.unsubscribe(_INJECTOR)
 
 
 def plan() -> FaultPlan | None:
@@ -193,7 +199,7 @@ def step_hook(rank: int, step: int) -> None:
 
 # -- hook: MPI send path ------------------------------------------------------
 #: sentinel returned by :func:`on_send` when the message must be dropped
-DROP = object()
+DROP = _intercept.DROP
 
 
 def on_send(src: int, dest: int, tag: int) -> object | float:
@@ -223,42 +229,6 @@ def on_send(src: int, dest: int, tag: int) -> object | float:
 
 
 # -- hook: CCA port-call path -------------------------------------------------
-class FaultPortProxy:
-    """Forwarding wrapper that raises on the configured method call.
-
-    Mirrors :class:`repro.cca.portproxy.TracingPortProxy` (attribute
-    forwarding, method wrapping) but is resilience-owned so the CCA layer
-    keeps a single ``if faults.on`` check.
-    """
-
-    def __init__(self, target, label: str) -> None:
-        object.__setattr__(self, "_target", target)
-        object.__setattr__(self, "_label", label)
-
-    def __getattr__(self, name: str):
-        value = getattr(object.__getattribute__(self, "_target"), name)
-        if not callable(value):
-            return value
-        key = f"{object.__getattribute__(self, '_label')}.{name}"
-
-        def wrapped(*args, **kwargs):
-            if on:
-                on_port_call(key)
-            return value(*args, **kwargs)
-
-        return wrapped
-
-    def __setattr__(self, name: str, value) -> None:
-        setattr(object.__getattribute__(self, "_target"), name, value)
-
-
-def wraps_label(label: str) -> bool:
-    """Does the armed plan target a method of the port ``label``?"""
-    p = _plan
-    return (p is not None and bool(p.inject_method)
-            and p.inject_method.rsplit(".", 1)[0] == label)
-
-
 def on_port_call(key: str) -> None:
     """Count one port-method call; raise on the configured N-th one."""
     p = _plan
@@ -272,3 +242,32 @@ def on_port_call(key: str) -> None:
         _counters.method_fires += 1
     raise InjectedFault(
         f"injected exception in port call {key} (call #{n})")
+
+
+# -- chain subscriber ----------------------------------------------------------
+class _Injector(_intercept.Interceptor):
+    """Send fates and port-call exceptions from the armed plan."""
+
+    order = 2
+
+    def claims(self, label: str) -> bool:
+        p = _plan
+        return (p is not None and bool(p.inject_method)
+                and p.inject_method.rsplit(".", 1)[0] == label)
+
+    def port_call(self, key, target, fn):
+        def call(*args, **kwargs):
+            if on:
+                on_port_call(key)
+            return fn(*args, **kwargs)
+
+        return call
+
+    def send(self, comm, dest, tag, nbytes, t0, fate):
+        delay = on_send(comm.global_rank, dest, tag)
+        if delay is DROP:
+            return DROP
+        fate.delay += delay
+
+
+_INJECTOR = _Injector()

@@ -124,11 +124,12 @@ def test_port_call_injection_fires_on_the_nth_call():
 
 
 def _strip_sanitizer(port):
-    # under REPRO_TSAN=1 get_port adds a sanitizer proxy even with
-    # faults off; these tests only assert the *fault* layer is absent
-    from repro.mpi import sanitizer
+    # under REPRO_TSAN=1 get_port may proxy a port for the sanitizer even
+    # with faults off; these tests only assert the *fault* layer is absent
+    from repro.cca.portproxy import TracingPortProxy
 
-    if isinstance(port, sanitizer.SanitizerPortProxy):
+    if isinstance(port, TracingPortProxy) and faults._INJECTOR not in \
+            object.__getattribute__(port, "_interceptors"):
         return object.__getattribute__(port, "_target")
     return port
 
